@@ -6,7 +6,7 @@ import repro.rdf.{BGP, IRI, Query, TriplePattern, Var}
   * direction ``d`` (1 = outgoing only, 2 = outgoing and incoming) and hop
   * count ``h``. [[queries]] renders it as one SPARQL subquery per
   * (direction-combination, hop layer); Algorithm 3 paginates each subquery
-  * independently so every page remains an index-backed lookup.
+  * independently.
   *
   * Every subquery projects variables named ``s p o`` — the triple to add to
   * KG'. Merging the subquery results interconnects per-target neighbourhoods

@@ -4,7 +4,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.kg.KG
-import repro.rdf.Endpoint
+import repro.rdf.{Endpoint, Query, Sparql}
 import repro.sampling.{BRW, IBS, URW}
 import repro.synth.{LPTask, NCTask, Tasks}
 
@@ -50,6 +50,22 @@ object KGTOSA {
     KG(kg.schema, triples, kg.nodeTypes.join(nodes, "id"))
   }
 
+  /** Algorithm 3's merge, shared by the NC and LP extractions: paginate
+    * each subquery, union the pages, narrow them with ``restrict``, and
+    * deduplicate once — the one place that makes KG' a set of triples.
+    */
+  private def sparqlMerge(endpoint: Endpoint, pattern: GraphPattern, queries: Seq[Query], bs: Long,
+                          targets: DataFrame, restrict: DataFrame => DataFrame = identity): Extraction = {
+    val ((sub, nBatches), secs) = timed {
+      val results = queries.map(q => endpoint.paginated(q, bs))
+      val triples = restrict(results.map(_._1).reduce(_ union _))
+        .dropDuplicates()
+        .select(col("s"), col("p").cast("int") as "p", col("o"))
+      (force(fromTriples(endpoint.store.kg, triples, targets)), results.map(_._2).sum)
+    }
+    Extraction(sub, secs, s"KG-TOSA_d${pattern.d}h${pattern.h}", nBatches, queries.map(Sparql.render))
+  }
+
   /** SPARQL-based TOSG extraction (Algorithm 3) for an NC task: one
     * paginated subquery per pattern layer, merged, deduplicated.
     *
@@ -59,28 +75,14 @@ object KGTOSA {
     */
   def sparqlExtract(endpoint: Endpoint, task: NCTask, pattern: GraphPattern, bs: Long,
                     targetSample: Option[DataFrame] = None): Extraction = {
-    val kg = endpoint.store.kg
     require(targetSample.isEmpty || pattern.h == 1, "target sampling only supported for h = 1 patterns")
-    val queries = pattern.queries(task.targetType)
-    val targets = targetSample.getOrElse(Tasks.targets(kg, task))
-    val ((sub, nBatches), secs) = timed {
-      val results = queries.map(q => endpoint.paginated(q, bs))
-      var triples = results.map(_._1).reduce(_ union _)
-        .dropDuplicates()
-        .select(col("s"), col("p").cast("int") as "p", col("o"))
-      targetSample.foreach { ts =>
-        // h = 1: every extracted triple touches a target at s (d ≥ 1) or o (d = 2)
-        val t = ts.select(col("id")).distinct()
-        val onS = triples.join(t.withColumnRenamed("id", "s"), "s").select("s", "p", "o")
-        triples =
-          if (pattern.d == 2)
-            onS.union(triples.join(t.withColumnRenamed("id", "o"), "o").select("s", "p", "o")).dropDuplicates()
-          else onS
-      }
-      (force(fromTriples(kg, triples, targets)), results.map(_._2).sum)
+    val targets = targetSample.getOrElse(Tasks.targets(endpoint.store.kg, task))
+    // h = 1: every extracted triple touches a target at s (d ≥ 1) or o (d = 2)
+    def restrict(triples: DataFrame): DataFrame = targetSample.fold(triples) { ts =>
+      def on(v: String) = triples.join(ts.select(col("id") as v), Seq(v), "left_semi")
+      if (pattern.d == 2) on("s").union(on("o")) else on("s")
     }
-    Extraction(sub, secs, s"KG-TOSA_d${pattern.d}h${pattern.h}", nBatches,
-      queries.map(repro.rdf.Sparql.render))
+    sparqlMerge(endpoint, pattern, pattern.queries(task.targetType), bs, targets, restrict)
   }
 
   /** SPARQL-based TOSG extraction for an LP task (d2h1 default): per-type
@@ -92,17 +94,8 @@ object KGTOSA {
     val et = kg.schema.edgeType(task.predicate)
     val ti = kg.schema.nodeTypes(et.srcType).name
     val tj = kg.schema.nodeTypes(et.dstType).name
-    val queries = pattern.lpQueries(ti, tj, task.predicate)
     val targets = kg.nodesOfType(ti).union(kg.nodesOfType(tj)).distinct()
-    val ((sub, nBatches), secs) = timed {
-      val results = queries.map(q => endpoint.paginated(q, bs))
-      val triples = results.map(_._1).reduce(_ union _)
-        .dropDuplicates()
-        .select(col("s"), col("p").cast("int") as "p", col("o"))
-      (force(fromTriples(kg, triples, targets)), results.map(_._2).sum)
-    }
-    Extraction(sub, secs, s"KG-TOSA_d${pattern.d}h${pattern.h}", nBatches,
-      queries.map(repro.rdf.Sparql.render))
+    sparqlMerge(endpoint, pattern, pattern.lpQueries(ti, tj, task.predicate), bs, targets)
   }
 
   /** BRW baseline extraction (Algorithm 1). */

@@ -57,8 +57,10 @@ object LinkPred {
     val trainDf = g.triples.filter(col("p") =!= pT.id)
       .union(predEdges.filter(q < 1.0 - evalFrac))
 
-    val train = trainDf.collect().map(r => (r.getLong(0), r.getInt(1), r.getLong(2)))
-    val test = testDf.collect().map(r => (r.getLong(0), r.getLong(1)))
+    // sorted, so the index order, the initial embeddings and the SGD order
+    // depend on the triples, not on the order the rows were collected in
+    val train = trainDf.collect().map(r => (r.getLong(0), r.getInt(1), r.getLong(2))).sorted
+    val test = testDf.collect().map(r => (r.getLong(0), r.getLong(1))).sorted
 
     // driver-side index
     val nodeIdx = mutable.LinkedHashMap[Long, Int]()

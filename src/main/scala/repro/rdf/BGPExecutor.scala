@@ -4,12 +4,10 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
 /** Compiles a SPARQL-subset [[Query]] to Catalyst joins over a
-  * [[TripleStore]]'s index views.
+  * [[TripleStore]].
   *
-  * View choice per triple pattern mirrors an RDF engine's index pick:
-  * bound predicate → [[TripleStore.byP]], bound subject → [[TripleStore.byS]],
-  * bound object → [[TripleStore.byO]], otherwise the raw triples. The
-  * ``rdf:type`` predicate routes to the virtual type-triple view.
+  * An ``rdf:type`` pattern reads the virtual type triples; every other
+  * pattern scans the triple table, with bound positions as filters.
   *
   * Variable-predicate patterns match only data triples (not the virtual
   * type triples); node types travel in the node-type table instead.
@@ -50,24 +48,16 @@ final class BGPExecutor(store: TripleStore) {
   private def colOrNull(df: DataFrame, v: String): Column =
     if (df.columns.contains(v)) col(v) else lit(null).cast("long").as(v)
 
-  /** One pattern: pick the index view, push constant filters, rename the
-    * variable positions; result has one LongType column per variable.
+  /** One pattern: read the type triples or the triple table, push constant
+    * filters, rename the variable positions; result has one LongType column
+    * per variable.
     */
   private def scan(tp: TriplePattern): DataFrame = {
-    val base = tp.p match {
+    var df = tp.p match {
       case iri: IRI if iri.name == "rdf:type" => store.typeTriples
-      case iri: IRI                           => store.byP.filter(col("p") === store.resolve(iri).toInt)
-      case _: Var =>
-        tp.s match {
-          case _: IRI => store.byS
-          case _ =>
-            tp.o match {
-              case _: IRI => store.byO
-              case _      => store.triples
-            }
-        }
+      case iri: IRI                           => store.triples.filter(col("p") === store.resolve(iri).toInt)
+      case _: Var                             => store.triples
     }
-    var df = base
     // constant filters for subject/object
     tp.s match { case iri: IRI => df = df.filter(col("s") === store.resolve(iri)); case _ => () }
     tp.o match { case iri: IRI => df = df.filter(col("o") === store.resolve(iri)); case _ => () }

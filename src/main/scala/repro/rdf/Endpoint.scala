@@ -9,15 +9,15 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 /** SPARQL-endpoint simulation implementing Algorithm 3's execution shape:
-  * count the result, split it into LIMIT/OFFSET batches of ``bs`` rows,
+  * count the result, split it into LIMIT/OFFSET batches of ``bs`` rows, and
   * fetch batches with ``parallelism`` request-handler workers that append
-  * rows to a driver-side buffer (the paper's Pandas DataFrame), and
-  * eliminate duplicates at the end.
+  * rows to a driver-side buffer (the paper's Pandas DataFrame).
   *
   * Each batch re-executes the (cached) query with a different OFFSET —
   * deliberately so: the paper notes RDF engines execute the query once per
-  * page, which is why KG-TOSA paginates each *subquery* independently so
-  * every page stays an index-backed lookup.
+  * page, which is why KG-TOSA paginates each *subquery* independently. The
+  * query itself scans the [[TripleStore]]'s triple table; there is no index
+  * behind a page (ROADMAP item 2).
   */
 final class Endpoint(val store: TripleStore, parallelism: Int = 8) {
   private val executor = new BGPExecutor(store)
@@ -29,9 +29,9 @@ final class Endpoint(val store: TripleStore, parallelism: Int = 8) {
   def count(q: Query): Long =
     executor.execute(q.copy(limit = None, offset = None)).distinct().count()
 
-  /** Paginated parallel execution per Algorithm 3. Returns the deduplicated
-    * result as a DataFrame of LongType columns named by the projected vars,
-    * plus the number of batches executed.
+  /** Paginated parallel execution per Algorithm 3. Returns the result under
+    * set semantics as a DataFrame of LongType columns named by the projected
+    * vars, plus the number of batches executed.
     */
   def paginated(q: Query, bs: Long): (DataFrame, Int) = {
     val spark = store.kg.triples.sparkSession
@@ -57,9 +57,9 @@ final class Endpoint(val store: TripleStore, parallelism: Int = 8) {
           }
         }
         val rows = Await.result(Future.sequence(fetched), Duration.Inf).flatten
-        val df = spark
-          .createDataFrame(spark.sparkContext.parallelize(rows.toSeq, math.max(1, parallelism)), outSchema)
-          .dropDuplicates()
+        // pages are disjoint windows over a distinct base: no dedup needed
+        val df = spark.createDataFrame(
+          spark.sparkContext.parallelize(rows.toSeq, math.max(1, parallelism)), outSchema)
         (df, nBatches)
       } finally pool.shutdown()
     } finally base.unpersist()

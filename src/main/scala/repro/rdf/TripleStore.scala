@@ -6,17 +6,13 @@ import org.apache.spark.storage.StorageLevel
 
 import repro.kg.KG
 
-/** "Virtuoso-lite": an indexed RDF triple store over Spark DataFrames.
+/** "Virtuoso-lite": an RDF triple store over Spark DataFrames.
   *
-  * Real RDF engines keep up to six permutation indices (hexastore) so any
-  * bound position of a triple pattern is a lookup, not a scan. The DataFrame
-  * stand-ins are hash-partitioned, cached views — a filter on the
-  * partitioning key touches a bounded slice rather than the whole graph,
-  * which plays the same architectural role for the paper's claim that
-  * index-backed extraction is cheap relative to whole-graph sampling:
-  *  - [[byP]] — partitioned by predicate (P·· index role)
-  *  - [[byS]] — partitioned by subject  (S·· index role)
-  *  - [[byO]] — partitioned by object   (O·· index role)
+  * Real RDF engines keep permutation indices (hexastore) so a bound
+  * position of a triple pattern is a lookup, not a scan. This store has no
+  * such index: every non-type pattern scans the KG's triple table (held in
+  * memory by [[repro.kg.KG.cached]]), with constant positions applied as
+  * filters. Index-backed scans are ROADMAP item 2.
   *
   * ``rdf:type`` triples are virtual: synthesised from the node-type table
   * with class-node objects, mirroring engines that store type quads.
@@ -24,20 +20,8 @@ import repro.kg.KG
 final class TripleStore(val kg: KG) {
   private val schema = kg.schema
 
-  /** Raw triples (no index). */
+  /** The triple table every non-type pattern scans. */
   def triples: DataFrame = kg.triples
-
-  /** Predicate-partitioned index view. */
-  lazy val byP: DataFrame =
-    kg.triples.repartition(col("p")).persist(StorageLevel.MEMORY_AND_DISK)
-
-  /** Subject-partitioned index view. */
-  lazy val byS: DataFrame =
-    kg.triples.repartition(col("s")).persist(StorageLevel.MEMORY_AND_DISK)
-
-  /** Object-partitioned index view. */
-  lazy val byO: DataFrame =
-    kg.triples.repartition(col("o")).persist(StorageLevel.MEMORY_AND_DISK)
 
   /** Virtual ``rdf:type`` triples: ``(node, typeP, classNode(ntype))``. */
   lazy val typeTriples: DataFrame =
@@ -49,19 +33,17 @@ final class TripleStore(val kg: KG) {
       )
       .persist(StorageLevel.MEMORY_AND_DISK)
 
-  /** Materialise index views (the engine's one-off load/index build). Kept
+  /** Materialise the type triples (the engine's one-off load). Kept
     * separate so benches can exclude it from per-query extraction time,
     * exactly as the paper excludes Virtuoso's bulk load.
     */
   def warm(): TripleStore = {
-    byP.count(); byS.count(); byO.count(); typeTriples.count()
+    typeTriples.count()
     this
   }
 
-  /** Drop cached index views. */
-  def close(): Unit = {
-    byP.unpersist(); byS.unpersist(); byO.unpersist(); typeTriples.unpersist()
-  }
+  /** Drop the cached type triples. */
+  def close(): Unit = typeTriples.unpersist()
 
   /** Resolve an IRI to the id it denotes (predicate ids for ``rel:``,
     * class-node ids for ``type:``, entity ids for ``node:``).

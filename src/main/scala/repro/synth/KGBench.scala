@@ -3,7 +3,6 @@ package repro.synth
 import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
-import repro.SynthData
 import repro.kg.{EdgeTypeInfo, KG, KGSchema, NodeTypeInfo}
 
 /** Spec of one core (named) node type; ``count`` is at scale 1.0. */
@@ -91,6 +90,15 @@ object KGBench {
     KGSchema(spec.name, nodeInfos, (coreEdgeInfos ++ fillEdgeInfos).toIndexedSeq, spec.communities)
   }
 
+  /** Column-level zipf draw: maps a uniform(0,1) column ``u`` to a 0-based
+    * rank in ``[0, nKeys)`` with P(rank k) ∝ (k+1)^-alpha (Pareto inverse-CDF
+    * approximation). Plants the hub-skewed degree distributions.
+    */
+  def zipfExpr(u: Column, nKeys: Long, alpha: Double): Column =
+    least(lit(nKeys - 1),
+          greatest(lit(0L),
+            (pow(lit(1.0) / (u + 1e-9), lit(1.0 / alpha)) - 1.0).cast("long")))
+
   /** Community of an id column: round-robin stripe within the type range
     * (must match [[KGSchema.communityOf]]).
     */
@@ -107,7 +115,7 @@ object KGBench {
     */
   private def affinityDst(comm: Column, u: Column, dt: NodeTypeInfo, c: Int, zipf: Double): Column = {
     val blocks = math.max(1L, dt.count / c)
-    val block = if (zipf > 0) SynthData.zipfExpr(u, blocks, zipf) else floor(u * blocks).cast("long")
+    val block = if (zipf > 0) zipfExpr(u, blocks, zipf) else floor(u * blocks).cast("long")
     least(lit(dt.offset + dt.count - 1),
           (lit(dt.offset) + comm + block * c).cast("long"))
   }
@@ -131,7 +139,7 @@ object KGBench {
       val src = (lit(st.offset) + floor(u1 * st.count)).cast("long")
       val comm = commCol(src, st, c)
       val baseDst =
-        if (ce.zipf > 0) lit(dt.offset) + SynthData.zipfExpr(u2, dt.count, ce.zipf)
+        if (ce.zipf > 0) lit(dt.offset) + zipfExpr(u2, dt.count, ce.zipf)
         else (lit(dt.offset) + floor(u2 * dt.count)).cast("long")
       val affDst = affinityDst(comm, u3, dt, c, ce.zipf)
       val dst = when(u4 < ce.affinity, affDst).otherwise(baseDst)

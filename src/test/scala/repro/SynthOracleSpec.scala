@@ -2,54 +2,31 @@ package repro
 
 import org.apache.spark.sql.functions._
 
-/** Sanity checks for the provided harness pieces: the TPC-H-lite generators
-  * and the DuckDB oracle itself (every KG query-result suite relies on it).
+/** Sanity checks for the DuckDB oracle itself (every KG query-result suite
+  * relies on it), over a test KG's triples.
   */
 class SynthOracleSpec extends SparkSpec {
 
-  test("oracle agrees with Spark on a simple aggregation over lineitem") {
-    // project to scalar columns — DateType rows fail row decoding under the
-    // forked test JVM, and the oracle only compares scalar columns anyway
-    val li = SynthData.lineitem(spark, sf = 0.001)
-      .select("l_orderkey", "l_returnflag", "l_quantity")
-      .limit(2000).cache()
-    val got = li.groupBy(col("l_returnflag"))
+  private lazy val triples = TestKGs.yago3.triples
+
+  test("oracle agrees with Spark on a simple aggregation over triples") {
+    val got = triples.groupBy(col("p"))
       .agg(count(lit(1)) as "cnt")
-      .select(col("l_returnflag"), col("cnt"))
+      .select(col("p"), col("cnt"))
     Oracle.assertEquivalent(
       got,
-      "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-      "lineitem" -> li)
-    li.unpersist()
+      "SELECT p, count(*) AS cnt FROM triples GROUP BY p",
+      "triples" -> triples)
   }
 
   test("oracle catches a wrong result") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-      .select("l_orderkey", "l_returnflag", "l_quantity")
-      .limit(500).cache()
-    val wrong = li.groupBy(col("l_returnflag"))
+    val wrong = triples.groupBy(col("p"))
       .agg((count(lit(1)) + 1) as "cnt")
     intercept[IllegalArgumentException] {
       Oracle.assertEquivalent(
         wrong,
-        "SELECT l_returnflag, count(*) AS cnt FROM lineitem GROUP BY l_returnflag",
-        "lineitem" -> li)
+        "SELECT p, count(*) AS cnt FROM triples GROUP BY p",
+        "triples" -> triples)
     }
-    li.unpersist()
-  }
-
-  test("zipfExpr skews toward low ranks") {
-    val df = spark.range(20000).select(
-      SynthData.zipfExpr(kg.KG.hashRand(5, col("id")), 1000, 1.3) as "k")
-    val top = df.filter(col("k") === 0).count().toDouble / 20000
-    assert(top > 0.1, s"rank-0 share $top")
-    val mm = df.agg(min("k"), max("k")).head()
-    assert(mm.getLong(0) >= 0 && mm.getLong(1) <= 999)
-  }
-
-  test("TPC-H-lite generators are deterministic in (sf, seed)") {
-    val a = SynthData.orders(spark, 0.001).agg(sum("o_custkey")).head().getLong(0)
-    val b = SynthData.orders(spark, 0.001).agg(sum("o_custkey")).head().getLong(0)
-    assert(a == b)
   }
 }

@@ -20,7 +20,7 @@ class KGTOSASpec extends SparkSpec {
     val ex = KGTOSA.sparqlExtract(endpoint, task, GraphPattern(1, 1), bs = 100000)
     val t = targetRange
     Oracle.assertEquivalent(
-      ex.subgraph.triples.distinct(),
+      ex.subgraph.triples,
       s"SELECT DISTINCT s, p, o FROM triples " +
         s"WHERE CAST(s AS BIGINT) >= ${t.offset} AND CAST(s AS BIGINT) < ${t.offset + t.count}",
       "triples" -> kg.triples)
@@ -33,7 +33,7 @@ class KGTOSASpec extends SparkSpec {
     val lo = t.offset
     val hi = t.offset + t.count
     Oracle.assertEquivalent(
-      ex.subgraph.triples.distinct(),
+      ex.subgraph.triples,
       s"SELECT DISTINCT s, p, o FROM triples " +
         s"WHERE (CAST(s AS BIGINT) >= $lo AND CAST(s AS BIGINT) < $hi) " +
         s"   OR (CAST(o AS BIGINT) >= $lo AND CAST(o AS BIGINT) < $hi)",

@@ -1,6 +1,9 @@
 package repro.gnn
 
+import org.apache.spark.sql.functions.col
+
 import repro.{SparkSpec, TestKGs}
+import repro.kg.KG
 import repro.synth.Tasks
 
 class LinkPredSpec extends SparkSpec {
@@ -39,6 +42,15 @@ class LinkPredSpec extends SparkSpec {
     assert(kgp.trainTriples < fg.trainTriples)
     assert(kgp.hits10 >= fg.hits10 - 0.15, s"KG' ${kgp.hits10} vs FG ${fg.hits10}")
     ex.subgraph.uncache(); store.close()
+  }
+
+  test("training depends on the triple set, not on row order") {
+    val kg = TestKGs.yago3
+    val shuffled = KG(kg.schema,
+      kg.triples.orderBy(KG.hashRand(31, col("s"), col("p"), col("o"))), kg.nodeTypes)
+    val a = LinkPred.train(kg, Tasks.CA_YAGO3, "MorsE", epochs = 4)
+    val b = LinkPred.train(shuffled, Tasks.CA_YAGO3, "MorsE", epochs = 4)
+    assert(a.hits10 == b.hits10, s"hits@10 ${a.hits10} vs ${b.hits10} after reordering")
   }
 
   test("unknown LP methods are rejected") {

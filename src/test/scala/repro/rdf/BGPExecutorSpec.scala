@@ -61,7 +61,7 @@ class BGPExecutorSpec extends SparkSpec {
     assert(got.count() == kg.triples.filter(col("s") === anyS).count())
   }
 
-  test("bound object uses the O-index view") {
+  test("bound object restricts to that node's incoming edges") {
     val anyO = kg.triples.select("o").head().getLong(0)
     val got = run(s"SELECT ?s ?p WHERE { ?s ?p <node:$anyO> }")
     assert(got.count() == kg.triples.filter(col("o") === anyO).count())

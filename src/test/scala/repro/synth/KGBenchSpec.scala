@@ -123,6 +123,15 @@ class KGBenchSpec extends SparkSpec {
     assert(present == TestKGs.mag.schema.edgeTypes.size)
   }
 
+  test("zipfExpr skews toward low ranks") {
+    val df = spark.range(20000).select(
+      KGBench.zipfExpr(KG.hashRand(5, col("id")), 1000, 1.3) as "k")
+    val top = df.filter(col("k") === 0).count().toDouble / 20000
+    assert(top > 0.1, s"rank-0 share $top")
+    val mm = df.agg(min("k"), max("k")).head()
+    assert(mm.getLong(0) >= 0 && mm.getLong(1) <= 999)
+  }
+
   test("spec lookup resolves names and rejects unknowns") {
     assert(KGBench.spec("MAG-42M").name == "MAG-42M")
     intercept[NoSuchElementException](KGBench.spec("nope"))
