@@ -31,13 +31,6 @@ object KGTOSA {
     (r, (System.nanoTime() - t0) / 1e9)
   }
 
-  /** Materialise a subgraph so the measured extraction time includes doing
-    * the work, then return it with flat lineage (eager local checkpoint) so
-    * downstream training/metrics plans stay small.
-    */
-  private def force(sub: KG): KG =
-    KG(sub.schema, sub.triples.localCheckpoint(true), sub.nodeTypes.localCheckpoint(true))
-
   /** Assemble a KG' from extracted triples: node set = endpoints of the
     * triples plus all targets (targets with no matched edge must stay —
     * they carry labels), types joined back from the full KG.
@@ -51,17 +44,19 @@ object KGTOSA {
   }
 
   /** Algorithm 3's merge, shared by the NC and LP extractions: paginate
-    * each subquery, union the pages, narrow them with ``restrict``, and
-    * deduplicate once — the one place that makes KG' a set of triples.
+    * all subqueries on one worker pool, narrow their union with
+    * ``restrict``, and deduplicate once — the one place that makes KG' a set
+    * of triples. The subgraph is materialised (``cached()``) inside the
+    * timing, so the measured extraction time includes doing the work.
     */
   private def sparqlMerge(endpoint: Endpoint, pattern: GraphPattern, queries: Seq[Query], bs: Long,
                           targets: DataFrame, restrict: DataFrame => DataFrame = identity): Extraction = {
     val ((sub, nBatches), secs) = timed {
-      val results = queries.map(q => endpoint.paginated(q, bs))
-      val triples = restrict(results.map(_._1).reduce(_ union _))
+      val (paged, pages) = endpoint.paginated(queries, bs)
+      val triples = restrict(paged)
         .dropDuplicates()
         .select(col("s"), col("p").cast("int") as "p", col("o"))
-      (force(fromTriples(endpoint.store.kg, triples, targets)), results.map(_._2).sum)
+      (fromTriples(endpoint.store.kg, triples, targets).cached(), pages)
     }
     Extraction(sub, secs, s"KG-TOSA_d${pattern.d}h${pattern.h}", nBatches, queries.map(Sparql.render))
   }
@@ -100,13 +95,15 @@ object KGTOSA {
 
   /** BRW baseline extraction (Algorithm 1). */
   def brwExtract(kg: KG, task: NCTask, bs: Int, h: Int, seed: Int): Extraction = {
-    val (sub, secs) = timed(force(BRW.sample(kg, Tasks.targets(kg, task), bs, h, seed)))
+    val (sub, secs) = timed(BRW.sample(kg, Tasks.targets(kg, task), bs, h, seed).cached())
     Extraction(sub, secs, "BRW")
   }
 
-  /** IBS baseline extraction (Algorithm 2). */
+  /** IBS baseline extraction (Algorithm 2); ``IBS.sample`` returns its
+    * subgraph already materialised.
+    */
   def ibsExtract(kg: KG, task: NCTask, bs: Int, k: Int, alpha: Double, seed: Int): Extraction = {
-    val (sub, secs) = timed(force(IBS.sample(kg, Tasks.targets(kg, task), bs, k, alpha, seed)))
+    val (sub, secs) = timed(IBS.sample(kg, Tasks.targets(kg, task), bs, k, alpha, seed))
     Extraction(sub, secs, "IBS")
   }
 
@@ -114,7 +111,7 @@ object KGTOSA {
     * "RW" column.
     */
   def urwExtract(kg: KG, bs: Int, h: Int, seed: Int): Extraction = {
-    val (sub, secs) = timed(force(URW.sample(kg, bs, h, seed)))
+    val (sub, secs) = timed(URW.sample(kg, bs, h, seed).cached())
     Extraction(sub, secs, "URW")
   }
 }

@@ -21,9 +21,17 @@ final case class KG(schema: KGSchema, triples: DataFrame, nodeTypes: DataFrame) 
     * checkpoint). Flattening matters as much as caching here: generators
     * and samplers build deep plans, and every downstream query re-analyses
     * its inputs' full logical plan — a flat RDD scan keeps that O(1).
+    *
+    * Each table is first coalesced (narrow, no shuffle) to at most one
+    * partition per core: the generator unions one range per edge type, and
+    * without this every later scan of the resident KG would run ~100 tiny
+    * tasks. Tables with fewer partitions keep theirs.
     */
-  def cached(): KG =
-    KG(schema, triples.localCheckpoint(true), nodeTypes.localCheckpoint(true))
+  def cached(): KG = {
+    val cores = triples.sparkSession.sparkContext.defaultParallelism
+    def flat(df: DataFrame): DataFrame = df.coalesce(cores).localCheckpoint(true)
+    KG(schema, flat(triples), flat(nodeTypes))
+  }
 
   /** Drop cached tables (benches call this between KGs to bound memory). */
   def uncache(): KG = {

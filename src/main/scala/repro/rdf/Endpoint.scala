@@ -5,13 +5,15 @@ import java.util.concurrent.Executors
 import scala.concurrent.{Await, ExecutionContext, Future}
 import scala.concurrent.duration.Duration
 
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 /** SPARQL-endpoint simulation implementing Algorithm 3's execution shape:
   * count the result, split it into LIMIT/OFFSET batches of ``bs`` rows, and
   * fetch batches with ``parallelism`` request-handler workers that append
-  * rows to a driver-side buffer (the paper's Pandas DataFrame).
+  * rows to a driver-side buffer (the paper's Pandas DataFrame). One worker
+  * pool serves all subqueries of an extraction, so no subquery waits for
+  * another's pages.
   *
   * Each batch re-executes the (cached) query with a different OFFSET —
   * deliberately so: the paper notes RDF engines execute the query once per
@@ -29,39 +31,50 @@ final class Endpoint(val store: TripleStore, parallelism: Int = 8) {
   def count(q: Query): Long =
     executor.execute(q.copy(limit = None, offset = None)).distinct().count()
 
-  /** Paginated parallel execution per Algorithm 3. Returns the result under
-    * set semantics as a DataFrame of LongType columns named by the projected
-    * vars, plus the number of batches executed.
+  /** Paginated parallel execution per Algorithm 3 of one query. */
+  def paginated(q: Query, bs: Long): (DataFrame, Int) = paginated(Seq(q), bs)
+
+  /** Algorithm 3 over all subqueries of one extraction on one worker pool:
+    * count every subquery's distinct result, then fetch every page of every
+    * subquery. Returns the union of the subqueries' results (each under set
+    * semantics) as a DataFrame of LongType columns named by the projected
+    * vars, plus the total number of batches executed.
     */
-  def paginated(q: Query, bs: Long): (DataFrame, Int) = {
+  def paginated(qs: Seq[Query], bs: Long): (DataFrame, Int) = {
+    require(qs.nonEmpty, "no subqueries to paginate")
+    require(bs > 0, s"batch size must be positive, got $bs")
+    val varsOut = qs.head.projected
+    require(qs.forall(_.projected == varsOut), "subqueries must project the same variables")
     val spark = store.kg.triples.sparkSession
-    val varsOut = q.projected
     val outSchema = StructType(varsOut.map(v => StructField(v, LongType, nullable = true)))
+    val sortCols = varsOut.map(org.apache.spark.sql.functions.col)
 
     // Set semantics before pagination: distinct rows give the total order a
     // strict key, so OFFSET windows neither drop nor duplicate rows.
-    val base = executor.execute(q.copy(limit = None, offset = None)).distinct().cache()
+    val bases = qs.map(q => executor.execute(q.copy(limit = None, offset = None)).distinct().cache())
+    val pool = Executors.newFixedThreadPool(math.max(1, parallelism))
+    implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
+    def onPool[T](jobs: Seq[() => T]): Seq[T] =
+      Await.result(Future.sequence(jobs.map(j => Future(j()))), Duration.Inf)
     try {
-      val total = base.count()
-      val nBatches = math.max(1, math.ceil(total.toDouble / bs).toInt)
-      val pool = Executors.newFixedThreadPool(math.max(1, parallelism))
-      implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
-      try {
-        val sortCols = varsOut.map(org.apache.spark.sql.functions.col)
-        val fetched: Seq[Future[Array[Row]]] = (0 until nBatches).map { i =>
-          Future {
-            // One LIMIT/OFFSET page over the cached set-semantics result;
-            // distinct rows make the total order strict, so pages partition
-            // the result exactly.
-            base.orderBy(sortCols: _*).offset((i * bs).toInt).limit(bs.toInt).collect()
-          }
-        }
-        val rows = Await.result(Future.sequence(fetched), Duration.Inf).flatten
-        // pages are disjoint windows over a distinct base: no dedup needed
-        val df = spark.createDataFrame(
-          spark.sparkContext.parallelize(rows.toSeq, math.max(1, parallelism)), outSchema)
-        (df, nBatches)
-      } finally pool.shutdown()
-    } finally base.unpersist()
+      val totals = onPool(bases.map(b => () => b.count()))
+      // One LIMIT/OFFSET page over a cached set-semantics result; distinct
+      // rows make the total order strict, so pages partition the result
+      // exactly. Dataset.offset/limit take an Int: an overflow fails loudly.
+      val pages = for {
+        (base, total) <- bases.zip(totals)
+        size = math.max(1L, math.min(bs, total))
+        i <- 0L until math.max(1L, (total + size - 1) / size)
+      } yield () => base.orderBy(sortCols: _*)
+        .offset(Math.toIntExact(i * size)).limit(Math.toIntExact(size)).collect()
+      val rows = onPool(pages).flatten
+      // pages are disjoint windows over distinct bases: no dedup needed
+      val df = spark.createDataFrame(
+        spark.sparkContext.parallelize(rows, math.max(1, parallelism)), outSchema)
+      (df, pages.size)
+    } finally {
+      pool.shutdown()
+      bases.foreach(_.unpersist())
+    }
   }
 }

@@ -73,7 +73,7 @@ object IBS {
       .distinct()
     val out0 = Induce.extractSubgraph(kg, vs)
     // materialise + flatten before unpersisting the inputs it derives from
-    val out = KG(kg.schema, out0.triples.localCheckpoint(true), out0.nodeTypes.localCheckpoint(true))
+    val out = out0.cached()
     roots.unpersist(); inf.unpersist(); adj.unpersist()
     out
   }

@@ -22,6 +22,18 @@ class TrainersSpec extends SparkSpec {
     assert(r.params == MemoryModel.params(r.graphNodes, r.graphRels, 5, fast.l))
   }
 
+  test("GraphSAINT accuracy does not depend on how the KG's tables are partitioned") {
+    val task = repro.synth.NCTask("CC", "YAGO3-10", "Person", 5, repro.synth.RandomSplit, (0.8, 0.1, 0.1))
+    val kg = TestKGs.yago3
+    val moved = repro.kg.KG(kg.schema,
+      kg.triples.repartition(3).localCheckpoint(true), kg.nodeTypes.repartition(2).localCheckpoint(true))
+    assert(moved.triples.rdd.getNumPartitions == 3 && moved.nodeTypes.rdd.getNumPartitions == 2)
+    val a = Trainers.train("GraphSAINT", kg, task, fast)
+    val b = Trainers.train("GraphSAINT", moved, task, fast)
+    assert(a.accuracy == b.accuracy, s"${a.accuracy} vs ${b.accuracy}")
+    moved.uncache()
+  }
+
   test("RGCN (full-batch) is charged more memory than GraphSAINT (mini-batch)") {
     val rgcn = Trainers.train("RGCN", TestKGs.yago3, repro.synth.NCTask(
       "CC", "YAGO3-10", "Person", 5, repro.synth.RandomSplit, (0.8, 0.1, 0.1)), fast)

@@ -3,6 +3,7 @@ package repro.kg
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, TestKGs}
+import repro.synth.KGBench
 
 class KGSuite extends SparkSpec {
 
@@ -15,6 +16,17 @@ class KGSuite extends SparkSpec {
     assert(st.nTypes == kg.schema.nodeTypes.size)
     assert(st.eTypes <= kg.schema.edgeTypes.size)
     assert(st.eTypes > 0)
+  }
+
+  test("cached() holds each table in at most defaultParallelism partitions and keeps every row") {
+    val cores = spark.sparkContext.defaultParallelism
+    assert(kg.triples.rdd.getNumPartitions <= cores)
+    assert(kg.nodeTypes.rdd.getNumPartitions <= cores)
+    val raw = KGBench.generate(spark, KGBench.MAG, TestKGs.UnitScale)
+    assert(raw.triples.exceptAll(kg.triples).count() == 0)
+    assert(kg.triples.exceptAll(raw.triples).count() == 0)
+    assert(raw.nodeTypes.exceptAll(kg.nodeTypes).count() == 0)
+    assert(kg.nodeTypes.exceptAll(raw.nodeTypes).count() == 0)
   }
 
   test("undirected view doubles the edge count") {

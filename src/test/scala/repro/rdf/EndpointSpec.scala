@@ -29,6 +29,37 @@ class EndpointSpec extends SparkSpec {
     assert(paged.count() == endpoint.count(q))
   }
 
+  test("a page size beyond Int range returns every row in one batch") {
+    val direct = endpoint.select(q).distinct()
+    for (bs <- Seq(1L << 32, (1L << 31) + 5)) {
+      val (paged, nb) = endpoint.paginated(q, bs)
+      assert(nb == 1, s"bs = $bs")
+      assert(paged.count() == direct.count(), s"bs = $bs")
+      assert(paged.exceptAll(direct).count() == 0, s"bs = $bs")
+    }
+  }
+
+  test("several subqueries on one pool return each subquery's distinct rows and the sum of their batches") {
+    val qs = Seq(q,
+      SparqlParser.parse("SELECT ?s ?p ?o WHERE { ?s ?p ?o . ?o a <type:Person> }"),
+      SparqlParser.parse("SELECT ?s ?p ?o WHERE { ?s a <type:Film> . ?s ?p ?o }"))
+    for (par <- Seq(1, 4)) {
+      val e = new Endpoint(store, parallelism = par)
+      val singles = qs.map(e.paginated(_, bs = 97))
+      val expected = singles.map(_._1).reduce(_ union _)
+      val (paged, nb) = e.paginated(qs, bs = 97)
+      assert(nb == singles.map(_._2).sum, s"parallelism $par")
+      assert(paged.count() == expected.count(), s"parallelism $par")
+      assert(paged.exceptAll(expected).count() == 0, s"parallelism $par")
+      assert(expected.exceptAll(paged).count() == 0, s"parallelism $par")
+    }
+  }
+
+  test("subqueries projecting different variables are rejected") {
+    val qo = SparqlParser.parse("SELECT ?s WHERE { ?s a <type:Person> }")
+    intercept[IllegalArgumentException](endpoint.paginated(Seq(q, qo), bs = 97))
+  }
+
   test("pagination result is independent of batch size") {
     val (a, _) = endpoint.paginated(q, bs = 61)
     val (b, _) = endpoint.paginated(q, bs = 500)
