@@ -7,6 +7,7 @@ import repro.kg.KG
 import repro.rdf.{Endpoint, Query, Sparql}
 import repro.sampling.{BRW, IBS, URW}
 import repro.synth.{LPTask, NCTask, Tasks}
+import repro.timed
 
 /** One TOSG extraction: the subgraph, its wall-clock extraction cost, and
   * bookkeeping for the benches.
@@ -24,12 +25,6 @@ final case class Extraction(
   * sampling baselines; URW is GraphSAINT's type-blind baseline sampler.
   */
 object KGTOSA {
-
-  private def timed[T](body: => T): (T, Double) = {
-    val t0 = System.nanoTime()
-    val r = body
-    (r, (System.nanoTime() - t0) / 1e9)
-  }
 
   /** Assemble a KG' from extracted triples: node set = endpoints of the
     * triples plus all targets (targets with no matched edge must stay —
@@ -87,10 +82,10 @@ object KGTOSA {
   def sparqlExtractLP(endpoint: Endpoint, task: LPTask, pattern: GraphPattern, bs: Long): Extraction = {
     val kg = endpoint.store.kg
     val et = kg.schema.edgeType(task.predicate)
-    val ti = kg.schema.nodeTypes(et.srcType).name
-    val tj = kg.schema.nodeTypes(et.dstType).name
-    val targets = kg.nodesOfType(ti).union(kg.nodesOfType(tj)).distinct()
-    sparqlMerge(endpoint, pattern, pattern.lpQueries(ti, tj, task.predicate), bs, targets)
+    val ti = kg.schema.nodeTypes(et.srcType)
+    val tj = kg.schema.nodeTypes(et.dstType)
+    val targets = kg.nodeTypes.filter(ti.contains(col("id")) || tj.contains(col("id"))).select(col("id"))
+    sparqlMerge(endpoint, pattern, pattern.lpQueries(ti.name, tj.name, task.predicate), bs, targets)
   }
 
   /** BRW baseline extraction (Algorithm 1). */

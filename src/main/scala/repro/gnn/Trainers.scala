@@ -8,6 +8,7 @@ import org.apache.spark.sql.functions._
 import repro.kg.KG
 import repro.sampling.{Induce, URW}
 import repro.synth.{NCTask, Tasks}
+import repro.timed
 
 /** Hyper-parameters shared by the trainer variants. */
 final case class TrainParams(
@@ -49,12 +50,6 @@ final case class TrainResult(
 object Trainers {
 
   val methods: Seq[String] = Seq("RGCN", "SeHGNN", "GraphSAINT", "ShaDowSAINT")
-
-  private def timed[T](body: => T): (T, Double) = {
-    val t0 = System.nanoTime()
-    val r = body
-    (r, (System.nanoTime() - t0) / 1e9)
-  }
 
   /** Collect (features, labels) for rows of ``df`` whose fold matches. */
   private def collectXY(df: DataFrame, featCols: Seq[String], fold: Int): (DenseMatrix[Double], Array[Int]) = {

@@ -60,10 +60,8 @@ final case class KG(schema: KGSchema, triples: DataFrame, nodeTypes: DataFrame) 
       .union(triples.select(col("o") as "u", col("s") as "v"))
 
   /** Node ids of one node type (by name) as a single-column DF ``id``. */
-  def nodesOfType(typeName: String): DataFrame = {
-    val t = schema.nodeType(typeName)
-    nodeTypes.filter(col("ntype") === t.id).select(col("id"))
-  }
+  def nodesOfType(typeName: String): DataFrame =
+    nodeTypes.filter(schema.nodeType(typeName).contains(col("id"))).select(col("id"))
 }
 
 object KG {

@@ -1,12 +1,20 @@
 package repro.kg
 
+import org.apache.spark.sql.Column
+
 /** Descriptor of one node type (class). Nodes of this type occupy the
   * contiguous id range ``[offset, offset + count)``; contiguity makes
-  * community assignment and split logic pure arithmetic.
+  * community assignment and split logic pure arithmetic, and makes type
+  * membership a range test — the only meaning of ``?x a <type:T>``.
   */
 final case class NodeTypeInfo(id: Int, name: String, offset: Long, count: Long) {
   /** Whether a node id belongs to this type's range. */
   def contains(node: Long): Boolean = node >= offset && node < offset + count
+
+  /** Spark-side [[contains]]: whether the node-id column ``node`` lies in
+    * this type's range.
+    */
+  def contains(node: Column): Column = node >= offset && node < offset + count
 }
 
 /** Descriptor of one edge type (RDF predicate) with its declared
@@ -17,10 +25,9 @@ final case class EdgeTypeInfo(id: Int, name: String, srcType: Int, dstType: Int)
 /** Static schema of a synthetic KG: node-type ranges, edge types, and the
   * number of planted latent communities that drive task labels.
   *
-  * The schema also reserves a virtual ``rdf:type`` predicate (id [[typeP]])
-  * and one "class node" per node type (ids starting at [[totalNodes]]) so
-  * that SPARQL patterns like ``?t a <type:Paper>`` can be answered from the
-  * node-type table exactly as an RDF engine answers type quads.
+  * A node type is an id range, not a node: SPARQL patterns like
+  * ``?t a <type:Paper>`` compile to the range test
+  * [[NodeTypeInfo.contains]] on ``?t``.
   */
 final case class KGSchema(
     name: String,
@@ -31,20 +38,8 @@ final case class KGSchema(
   require(nodeTypes.nonEmpty, "schema needs at least one node type")
   require(communities > 0, "communities must be positive")
 
-  /** Total number of entity nodes (excludes virtual class nodes). */
+  /** Total number of entity nodes. */
   val totalNodes: Long = nodeTypes.map(_.count).sum
-
-  /** Virtual predicate id used for ``rdf:type`` triples. */
-  val typeP: Int = edgeTypes.size
-
-  /** Id of the virtual class node representing node type ``ntype``. */
-  def classNode(ntype: Int): Long = totalNodes + ntype
-
-  /** Inverse of [[classNode]]. */
-  def classOfNode(id: Long): Int = {
-    require(id >= totalNodes, s"$id is not a class node")
-    (id - totalNodes).toInt
-  }
 
   private val nodeByName = nodeTypes.map(t => t.name -> t).toMap
   private val edgeByName = edgeTypes.map(t => t.name -> t).toMap

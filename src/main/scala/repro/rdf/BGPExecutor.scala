@@ -6,11 +6,11 @@ import org.apache.spark.sql.functions._
 /** Compiles a SPARQL-subset [[Query]] to Catalyst joins over a
   * [[TripleStore]].
   *
-  * An ``rdf:type`` pattern reads the virtual type triples; every other
-  * pattern scans the triple table, with bound positions as filters.
-  *
-  * Variable-predicate patterns match only data triples (not the virtual
-  * type triples); node types travel in the node-type table instead.
+  * Data patterns scan the triple table, with bound positions as filters,
+  * and join on shared variables. A node type is an id range, so each
+  * ``?x a <type:T>`` is the filter [[repro.kg.NodeTypeInfo.contains]] on
+  * column ``x`` of that join (of the node-type table if no data pattern
+  * binds ``x``). Any other ``rdf:type`` shape is rejected.
   */
 final class BGPExecutor(store: TripleStore) {
 
@@ -33,10 +33,18 @@ final class BGPExecutor(store: TripleStore) {
 
   private def group(g: GroupPattern): DataFrame = g match {
     case BGP(patterns) =>
-      patterns.map(scan).reduce { (acc, nxt) =>
+      val (types, data) = patterns.partition(_.p == IRI("rdf:type"))
+      val ranges = types.map {
+        case TriplePattern(Var(x), _, IRI(t)) if t.startsWith("type:") => x -> store.kg.schema.nodeType(t.drop(5))
+        case tp => throw new IllegalArgumentException(s"type pattern $tp is not of the form ?x a <type:T>")
+      }
+      val unbound = ranges.map(_._1).distinct.filterNot(x => data.exists(_.vars.contains(x)))
+      val nodes = unbound.map(x => store.kg.nodeTypes.select(col("id") as x))
+      val joined = (data.map(scan) ++ nodes).reduce { (acc, nxt) =>
         val common = acc.columns.intersect(nxt.columns).toSeq
         if (common.nonEmpty) acc.join(nxt, common) else acc.crossJoin(nxt)
       }
+      ranges.foldLeft(joined) { case (df, (x, t)) => df.filter(t.contains(col(x))) }
     case Union(branches) =>
       val dfs = branches.map(group)
       val allVars = g.vars
@@ -48,15 +56,14 @@ final class BGPExecutor(store: TripleStore) {
   private def colOrNull(df: DataFrame, v: String): Column =
     if (df.columns.contains(v)) col(v) else lit(null).cast("long").as(v)
 
-  /** One pattern: read the type triples or the triple table, push constant
-    * filters, rename the variable positions; result has one LongType column
-    * per variable.
+  /** One data pattern: scan the triple table, push constant filters,
+    * rename the variable positions; result has one LongType column per
+    * variable.
     */
   private def scan(tp: TriplePattern): DataFrame = {
     var df = tp.p match {
-      case iri: IRI if iri.name == "rdf:type" => store.typeTriples
-      case iri: IRI                           => store.triples.filter(col("p") === store.resolve(iri).toInt)
-      case _: Var                             => store.triples
+      case iri: IRI => store.triples.filter(col("p") === store.resolve(iri).toInt)
+      case _: Var   => store.triples
     }
     // constant filters for subject/object
     tp.s match { case iri: IRI => df = df.filter(col("s") === store.resolve(iri)); case _ => () }

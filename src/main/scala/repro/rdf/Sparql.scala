@@ -4,10 +4,12 @@ package repro.rdf
   * ``SELECT``, basic graph patterns, ``UNION``, ``LIMIT``/``OFFSET``.
   *
   * IRI naming convention (resolved against the KG schema by the executor):
-  *  - ``type:Name``  — the class node of node type ``Name``
+  *  - ``type:Name``  — node type ``Name``, an id range rather than a node:
+  *    only the object of ``?x a <type:Name>``, a range filter on ``?x``
   *  - ``rel:name``   — the predicate ``name``
   *  - ``node:123``   — the entity with id 123
-  *  - ``rdf:type``   — the virtual type predicate (keyword ``a`` in text)
+  *  - ``rdf:type``   — the type predicate (keyword ``a`` in text), only in
+  *    ``?x a <type:Name>``
   */
 sealed trait Term
 final case class Var(name: String) extends Term {

@@ -1,8 +1,6 @@
 package repro.rdf
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
 
 import repro.kg.KG
 
@@ -10,48 +8,36 @@ import repro.kg.KG
   *
   * Real RDF engines keep permutation indices (hexastore) so a bound
   * position of a triple pattern is a lookup, not a scan. This store has no
-  * such index: every non-type pattern scans the KG's triple table (held in
+  * such index: every data pattern scans the KG's triple table (held in
   * memory by [[repro.kg.KG.cached]]), with constant positions applied as
   * filters. Index-backed scans are ROADMAP item 2.
   *
-  * ``rdf:type`` triples are virtual: synthesised from the node-type table
-  * with class-node objects, mirroring engines that store type quads.
+  * Node types are not stored as triples. A node type is an id range
+  * ([[repro.kg.NodeTypeInfo]]), and [[BGPExecutor]] compiles
+  * ``?x a <type:T>`` to a range filter on ``?x``.
   */
 final class TripleStore(val kg: KG) {
   private val schema = kg.schema
 
-  /** The triple table every non-type pattern scans. */
+  /** The triple table every data pattern scans. */
   def triples: DataFrame = kg.triples
 
-  /** Virtual ``rdf:type`` triples: ``(node, typeP, classNode(ntype))``. */
-  lazy val typeTriples: DataFrame =
-    kg.nodeTypes
-      .select(
-        col("id") as "s",
-        lit(schema.typeP) as "p",
-        (lit(schema.totalNodes) + col("ntype").cast("long")) as "o",
-      )
-      .persist(StorageLevel.MEMORY_AND_DISK)
-
-  /** Materialise the type triples (the engine's one-off load). Kept
-    * separate so benches can exclude it from per-query extraction time,
-    * exactly as the paper excludes Virtuoso's bulk load.
+  /** The engine's one-off load, kept so benches can exclude it from
+    * per-query extraction time, as the paper excludes Virtuoso's bulk load.
+    * The KG's tables are already resident (``KG.cached()``) and the store
+    * builds nothing of its own, so this runs no Spark work.
     */
-  def warm(): TripleStore = {
-    typeTriples.count()
-    this
-  }
+  def warm(): TripleStore = this
 
-  /** Drop the cached type triples. */
-  def close(): Unit = typeTriples.unpersist()
+  /** Release what [[warm]] built: nothing, so this runs no Spark work. */
+  def close(): Unit = ()
 
   /** Resolve an IRI to the id it denotes (predicate ids for ``rel:``,
-    * class-node ids for ``type:``, entity ids for ``node:``).
+    * entity ids for ``node:``). A ``type:`` IRI names an id range, not an
+    * id, so it is unresolvable here: only a type pattern's object takes one.
     */
   def resolve(iri: IRI): Long = iri.name match {
     case n if n.startsWith("rel:")  => schema.edgeType(n.drop(4)).id.toLong
-    case "rdf:type"                 => schema.typeP.toLong
-    case n if n.startsWith("type:") => schema.classNode(schema.nodeType(n.drop(5)).id)
     case n if n.startsWith("node:") => n.drop(5).toLong
     case n => throw new IllegalArgumentException(s"unresolvable IRI <$n>")
   }

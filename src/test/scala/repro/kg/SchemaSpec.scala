@@ -53,20 +53,6 @@ class SchemaSpec extends AnyFunSuite {
     assert(slice == (0 until c).toSet)
   }
 
-  test("class nodes live above the entity id space and round-trip") {
-    for (t <- schema.nodeTypes.take(5)) {
-      val cn = schema.classNode(t.id)
-      assert(cn >= schema.totalNodes)
-      assert(schema.classOfNode(cn) == t.id)
-    }
-    intercept[IllegalArgumentException](schema.classOfNode(0L))
-  }
-
-  test("typeP is distinct from all edge type ids") {
-    assert(!schema.edgeTypes.exists(_.id == schema.typeP))
-    assert(schema.typeP == schema.edgeTypes.size)
-  }
-
   test("name lookups resolve and reject unknowns") {
     assert(schema.nodeType("Author").name == "Author")
     assert(schema.edgeType("cites").name == "cites")
