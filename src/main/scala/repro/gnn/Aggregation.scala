@@ -10,43 +10,54 @@ import repro.kg.KG
   * features over the undirected view. This is the computation whose cost
   * scales with |V|+|E| in every HGNN method; the trainers decouple it from
   * the classifier head exactly as SeHGNN does (aggregate once, then train).
+  *
+  * The aggregation is relation-blind: every edge counts the same whatever
+  * its predicate. Each hop is its own shallow query over a materialised
+  * previous hop, so every hop of every graph runs the same plan shape
+  * (DESIGN.md §5.5).
   */
 object Aggregation {
 
-  /** Aggregate ``feats`` (``id, f0..f{F-1}``) over ``g`` for ``L`` hops.
-    * Returns ``(id, f*, h1_*, .., hL_*)`` for every node of ``g``; nodes
-    * with no neighbours get zero-filled hop columns.
+  /** Undirected adjacency ``(u, v)`` of ``g`` (duplicate edges kept).
     *
-    * @param fanoutCap if set, each node aggregates from at most this many
+    * @param fanoutCap if set, each node keeps at most this many
     *                  (hash-chosen) neighbours — ShaDow-GNN's bounded-scope
     *                  ego-graph approximation
     */
+  def adjacency(g: KG, fanoutCap: Option[Int] = None, seed: Int = 11): DataFrame = fanoutCap match {
+    case Some(c) =>
+      val w = Window.partitionBy(col("u")).orderBy(KG.hashRand(seed, col("u"), col("v")), col("v"))
+      g.undirected.withColumn("rk", row_number().over(w)).filter(col("rk") <= c).select(col("u"), col("v"))
+    case None => g.undirected
+  }
+
+  /** One hop: for every node ``u`` with a neighbour in ``prev``, the mean of
+    * its neighbours' rows of ``prev`` (``id`` plus feature columns). Output
+    * has ``prev``'s columns; nodes with no neighbours have no row.
+    */
+  def hop(adj: DataFrame, prev: DataFrame): DataFrame = {
+    val fs = prev.columns.filter(_ != "id").toSeq
+    adj.join(prev.withColumnRenamed("id", "v"), "v")
+      .groupBy(col("u") as "id")
+      .agg(avg(fs.head) as fs.head, fs.tail.map(c => avg(c) as c): _*)
+  }
+
+  /** Hop tables ``h0 = feats, h1 .. hL`` over adjacency ``adj``, each
+    * ``(id, f*)``; every ``hk`` (k ≥ 1) is materialised before the next
+    * hop reads it, so no hop query nests another.
+    */
+  def hops(adj: DataFrame, feats: DataFrame, l: Int): Seq[DataFrame] =
+    (1 to l).scanLeft(feats)((prev, _) => hop(adj, prev).localCheckpoint())
+
+  /** Aggregate ``feats`` (``id, f0..f{F-1}``) over ``g`` for ``L`` hops.
+    * Returns ``(id, f*, h1_*, .., hL_*)`` for every node of ``feats``;
+    * nodes with no neighbours get zero-filled hop columns.
+    */
   def aggregate(g: KG, feats: DataFrame, l: Int,
                 fanoutCap: Option[Int] = None, seed: Int = 11): DataFrame = {
-    val featCols = feats.columns.filter(_ != "id").toSeq
-    val adjAll = g.undirected
-    val adj = fanoutCap match {
-      case Some(c) =>
-        val w = Window.partitionBy(col("u")).orderBy(KG.hashRand(seed, col("u"), col("v")), col("v"))
-        adjAll.withColumn("rk", row_number().over(w)).filter(col("rk") <= c).select(col("u"), col("v"))
-      case None => adjAll
-    }
-
-    var result = feats
-    var cur = feats
-    var hop = 0
-    while (hop < l) {
-      hop += 1
-      val curCols = cur.columns.filter(_ != "id").toSeq
-      val nb = adj
-        .join(cur.withColumnRenamed("id", "v"), "v")
-        .groupBy(col("u"))
-        .agg(curCols.zip(featCols).map { case (c, base) => avg(col(c)) as s"h${hop}_$base" }.head,
-             curCols.zip(featCols).tail.map { case (c, base) => avg(col(c)) as s"h${hop}_$base" }: _*)
-        .withColumnRenamed("u", "id")
-      result = result.join(nb, Seq("id"), "left")
-      cur = nb
-    }
-    result.na.fill(0.0)
+    val fs = feats.columns.filter(_ != "id").toSeq
+    hops(adjacency(g, fanoutCap, seed), feats, l).zipWithIndex.tail.foldLeft(feats) { case (wide, (h, k)) =>
+      wide.join(h.select(col("id") +: fs.map(c => col(c) as s"h${k}_$c"): _*), Seq("id"), "left")
+    }.na.fill(0.0)
   }
 }

@@ -37,22 +37,20 @@ object Features {
     * @param sigma noise amplitude (uniform in ±sigma/2)
     */
   def nodeFeatures(g: KG, seed: Int = 5, sigma: Double = 0.6): DataFrame = {
-    val spark = g.triples.sparkSession
     val schema = g.schema
     val f = dim(g)
     val signalIds = signalTypesFor(schema.name).map(schema.nodeType(_).id).toSet
 
-    // per-type metadata table: (ntype, offset, signal)
-    val meta = spark.createDataFrame(
-      schema.nodeTypes.map(t => (t.id, t.offset, if (signalIds.contains(t.id)) 1.0 else 0.0))
-    ).toDF("ntype", "offset", "signal")
+    // per-type offset and signal flag, looked up by ntype (= index in the schema)
+    val offset = typedLit(schema.nodeTypes.map(_.offset)).getItem(col("ntype"))
+    val signal = typedLit(schema.nodeTypes.map(t => if (signalIds.contains(t.id)) 1.0 else 0.0)).getItem(col("ntype"))
 
-    val comm = pmod(col("id") - col("offset"), lit(schema.communities.toLong))
+    val comm = pmod(col("id") - offset, lit(schema.communities.toLong))
     val cols: Seq[Column] = (0 until f).map { j =>
-      val indicator = when(comm === j, 1.0).otherwise(0.0) * col("signal")
+      val indicator = when(comm === j, 1.0).otherwise(0.0) * signal
       val noise = (KG.hashRand(seed * 131 + j, col("id")) - 0.5) * sigma
       (indicator + noise) as s"f$j"
     }
-    g.nodeTypes.join(meta, "ntype").select(col("id") +: cols: _*)
+    g.nodeTypes.select(col("id") +: cols: _*)
   }
 }

@@ -2,11 +2,14 @@ package repro.gnn
 
 import breeze.linalg.{argmax, DenseMatrix, DenseVector}
 
+import scala.collection.mutable.ArrayBuffer
+
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.functions._
 
 import repro.kg.KG
-import repro.sampling.{Induce, URW}
+import repro.sampling.RandomWalk
 import repro.synth.{NCTask, Tasks}
 import repro.timed
 
@@ -51,24 +54,38 @@ object Trainers {
 
   val methods: Seq[String] = Seq("RGCN", "SeHGNN", "GraphSAINT", "ShaDowSAINT")
 
-  /** Collect (features, labels) for rows of ``df`` whose fold matches. */
-  private def collectXY(df: DataFrame, featCols: Seq[String], fold: Int): (DenseMatrix[Double], Array[Int]) = {
-    val rows = df.filter(col("fold") === fold)
-      .select((featCols.map(col) :+ col("label")): _*)
-      .collect()
-    val n = rows.length
-    val d = featCols.size
-    val x = DenseMatrix.zeros[Double](n, d + 1)
-    val y = new Array[Int](n)
-    var i = 0
-    while (i < n) {
-      var j = 0
-      while (j < d) { x(i, j) = rows(i).getDouble(j); j += 1 }
-      x(i, d) = 1.0 // bias
-      y(i) = rows(i).getInt(d)
-      i += 1
+  /** Collect (features, labels) of the task's ``fold`` targets from hop
+    * tables ``hs`` (``h0 = feats, h1 .. hL``, each ``(id, f*)``). Each table
+    * gives only those rows; ``h0`` fixes the row set, in id order, and a
+    * target with no row in a hop table (no neighbours) keeps zeros there.
+    */
+  private def collectXY(hs: Seq[DataFrame], g: KG, task: NCTask, fold: Int): (DenseMatrix[Double], Array[Int]) = {
+    val (label, foldOf) = Tasks.labelAndFold(g.schema, task)
+    val rows = g.schema.nodeType(task.targetType).contains(col("id")) && foldOf === fold
+    val fs = hs.head.columns.filter(_ != "id").map(col).toSeq
+    val base = hs.head.filter(rows).select((col("id") +: fs :+ label): _*).collect().sortBy(_.getLong(0))
+    val index = base.iterator.map(_.getLong(0)).zipWithIndex.toMap
+    val d = fs.size
+    val x = DenseMatrix.zeros[Double](base.length, d * hs.size + 1)
+    for ((h, k) <- hs.zipWithIndex) {
+      val hk = if (k == 0) base else h.filter(rows).select((col("id") +: fs): _*).collect()
+      for (r <- hk) {
+        val i = index(r.getLong(0))
+        var j = 0
+        while (j < d) { x(i, k * d + j) = r.getDouble(j + 1); j += 1 }
+      }
     }
-    (x, y)
+    x(::, d * hs.size) := 1.0 // bias
+    (x, base.map(_.getInt(d + 1)))
+  }
+
+  /** Free a table made by ``localCheckpoint``: its blocks belong to the
+    * RDD under its plan, which ``unpersist`` (Spark's cache manager) never
+    * sees.
+    */
+  private def release(df: DataFrame): Unit = df.queryExecution.logical match {
+    case r: LogicalRDD => r.rdd.unpersist(blocking = false)
+    case _             =>
   }
 
   /** Softmax model: weights plus the train-set feature standardisation
@@ -177,29 +194,36 @@ object Trainers {
   def train(method: String, g: KG, task: NCTask, p: TrainParams = TrainParams(),
             evalGraph: Option[KG] = None): TrainResult = {
     require(methods.contains(method), s"unknown method $method")
-    val feats = Features.nodeFeatures(g).cache()
-    val labeled = Tasks.labeledSplit(g, task).cache()
-    val f = Features.dim(g)
-    val featCols = (feats.columns.filter(_ != "id") ++
-      (1 to p.l).flatMap(hp => (0 until f).map(j => s"h${hp}_f$j"))).toSeq
+    val cap = if (method == "ShaDowSAINT") Some(p.fanoutCap) else None
+    // every table this call materialises, released before it returns
+    val held = ArrayBuffer.empty[DataFrame]
+    def keep(df: DataFrame): DataFrame = { val m = df.localCheckpoint(); held += m; m }
+    def hops(adj: DataFrame, feats: DataFrame): Seq[DataFrame] = {
+      val hs = Aggregation.hops(adj, feats, p.l)
+      held ++= hs.tail
+      hs
+    }
+    // one adjacency and one feature table, shared by the walks, the batches
+    // and inference (lazy: built inside the training timer)
+    lazy val adj = keep(Aggregation.adjacency(g, cap, p.seed))
+    lazy val feats = keep(Features.nodeFeatures(g))
+    lazy val full = hops(adj, feats)
 
     // --- gather training batches (Spark message passing) -------------------
     val (trainBatches, prepSecs) = timed {
       method match {
         case "GraphSAINT" =>
+          val ids = g.nodeTypes.select("id")
           (0 until p.batches).map { b =>
-            val vs = URW.visitedSet(g, p.rootsPerBatch, p.walkLen, p.seed * 100 + b)
-            val sub = Induce.extractSubgraph(g, vs)
-            val subFeats = feats.join(sub.nodeTypes.select("id"), "id")
-            val agg = Aggregation.aggregate(sub, subFeats, p.l, seed = p.seed)
-            collectXY(agg.join(labeled, "id"), featCols, fold = 0)
+            val seed = p.seed * 100 + b
+            val vs = keep(RandomWalk.visited(adj, RandomWalk.sampleIds(ids, p.rootsPerBatch, seed), p.walkLen, seed))
+            // the batch's induced subgraph: edges with both ends visited
+            val batchAdj = keep(adj.join(vs.withColumnRenamed("id", "u"), Seq("u"), "leftsemi")
+              .join(vs.withColumnRenamed("id", "v"), Seq("v"), "leftsemi"))
+            collectXY(hops(batchAdj, keep(feats.join(vs, Seq("id"), "leftsemi"))), g, task, fold = 0)
           }
-        case "ShaDowSAINT" =>
-          val agg = Aggregation.aggregate(g, feats, p.l, fanoutCap = Some(p.fanoutCap), seed = p.seed)
-          Seq(collectXY(agg.join(labeled, "id"), featCols, fold = 0))
-        case _ => // RGCN, SeHGNN: full aggregation
-          val agg = Aggregation.aggregate(g, feats, p.l, seed = p.seed)
-          Seq(collectXY(agg.join(labeled, "id"), featCols, fold = 0))
+        case _ => // RGCN, SeHGNN, ShaDowSAINT: full (ShaDow: fanout-capped) aggregation
+          Seq(collectXY(full, g, task, fold = 0))
       }
     }
 
@@ -207,21 +231,18 @@ object Trainers {
 
     // --- inference: full-graph aggregation + test prediction ---------------
     val ((testX, testY), inferSecs) = timed {
-      val cap = if (method == "ShaDowSAINT") Some(p.fanoutCap) else None
-      val (eg, egFeats, egLabeled) = evalGraph match {
-        case Some(e) => (e, Features.nodeFeatures(e), Tasks.labeledSplit(e, task))
-        case None    => (g, feats, labeled)
+      evalGraph match {
+        case Some(e) =>
+          collectXY(hops(keep(Aggregation.adjacency(e, cap, p.seed)), keep(Features.nodeFeatures(e))), e, task, fold = 2)
+        case None => collectXY(full, g, task, fold = 2)
       }
-      val agg = Aggregation.aggregate(eg, egFeats, p.l, fanoutCap = cap, seed = p.seed)
-      collectXY(agg.join(egLabeled, "id"), featCols, fold = 2)
     }
     val acc = accuracyOf(head, testX, testY)
 
-    val n = g.nodeTypes.count()
-    val m = g.triples.count()
-    val r = g.triples.select(col("p")).distinct().count()
+    val st = g.stats
+    val (n, m, r) = (st.nodes, st.edges, st.eTypes)
     val batchNodes = (p.rootsPerBatch.toLong * (p.walkLen + 1)).min(n)
-    feats.unpersist(); labeled.unpersist()
+    held.foreach(release)
 
     TrainResult(
       method = method,

@@ -25,8 +25,9 @@ final class BGPExecutor(store: TripleStore) {
       // LIMIT/OFFSET need a total order to be meaningful; order by all
       // projected columns (deterministic given set semantics upstream).
       df = df.orderBy(q.projected.map(col): _*)
-      q.offset.foreach(n => df = df.offset(n.toInt))
-      q.limit.foreach(n => df = df.limit(n.toInt))
+      // Dataset.offset/limit take an Int: an overflow fails loudly
+      q.offset.foreach(n => df = df.offset(Math.toIntExact(n)))
+      q.limit.foreach(n => df = df.limit(Math.toIntExact(n)))
     }
     df
   }

@@ -20,8 +20,8 @@ object URW {
     Induce.extractSubgraph(kg, vs)
   }
 
-  /** Visited node set only (no induction) — used by the GraphSAINT trainer
-    * to build mini-batch subgraphs.
+  /** Visited node set only (no induction): the node set of a GraphSAINT
+    * mini-batch.
     */
   def visitedSet(kg: KG, bs: Int, h: Int, seed: Int): DataFrame = {
     val roots = RandomWalk.sampleIds(kg.nodeTypes.select("id"), bs, seed)

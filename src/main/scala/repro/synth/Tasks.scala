@@ -1,9 +1,9 @@
 package repro.synth
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
-import repro.kg.KG
+import repro.kg.{KG, KGSchema}
 
 /** Train/valid/test split scheme of a task (Table II "Split" column).
   * ``TimeSplit`` is the time-surrogate: position within the id range stands
@@ -73,25 +73,30 @@ object Tasks {
   /** Fold column: 0 = train, 1 = valid, 2 = test, from a position or hash
     * quantile ``q`` in [0,1) and the task ratios.
     */
-  private def foldCol(q: org.apache.spark.sql.Column, ratios: (Double, Double, Double)) =
+  private def foldCol(q: Column, ratios: (Double, Double, Double)) =
     when(q < ratios._1, 0).when(q < ratios._1 + ratios._2, 1).otherwise(2)
 
-  /** Labels + folds for an NC task: DF ``(id, label, fold)`` over ``V_T``.
-    * Label = planted community mod ``numLabels``; fold per the task's split
-    * kind and ratios. Deterministic in (kg.schema, task).
+  /** Label and fold of an NC task as column expressions of the node id
+    * ``id`` (meaningful on ``V_T``): label = planted community mod
+    * ``numLabels``; fold per the task's split kind and ratios.
+    * Deterministic in (schema, task).
     */
-  def labeledSplit(kg: KG, task: NCTask): DataFrame = {
-    val t = kg.schema.nodeType(task.targetType)
-    val comm = pmod(col("id") - t.offset, lit(kg.schema.communities.toLong)).cast("int")
+  def labelAndFold(schema: KGSchema, task: NCTask): (Column, Column) = {
+    val t = schema.nodeType(task.targetType)
+    val comm = pmod(col("id") - t.offset, lit(schema.communities.toLong)).cast("int")
     val q = task.split match {
       case TimeSplit   => (col("id") - t.offset).cast("double") / t.count
       case RandomSplit => KG.hashRand(9001, col("id"))
     }
-    targets(kg, task).select(
-      col("id"),
-      pmod(comm, lit(task.numLabels)) as "label",
-      foldCol(q, task.ratios) as "fold",
-    )
+    (pmod(comm, lit(task.numLabels)), foldCol(q, task.ratios))
+  }
+
+  /** Labels + folds for an NC task: DF ``(id, label, fold)`` over ``V_T``,
+    * from [[labelAndFold]].
+    */
+  def labeledSplit(kg: KG, task: NCTask): DataFrame = {
+    val (label, fold) = labelAndFold(kg.schema, task)
+    targets(kg, task).select(col("id"), label as "label", fold as "fold")
   }
 
   /** Edge folds for an LP task: DF ``(s, p, o, fold)`` over the target

@@ -1,8 +1,10 @@
 package repro.gnn
 
+import org.apache.spark.sql.catalyst.plans.logical.Join
+import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.functions._
 
-import repro.{SparkSpec, TestKGs}
+import repro.{Oracle, SparkSpec, TestKGs}
 import repro.kg.KG
 
 class FeaturesAggSpec extends SparkSpec {
@@ -89,5 +91,42 @@ class FeaturesAggSpec extends SparkSpec {
     val capped = Aggregation.aggregate(kg, feats, l = 1, fanoutCap = Some(2))
     val full = Aggregation.aggregate(kg, feats, l = 1)
     assert(capped.count() == full.count())
+  }
+
+  test("hop tables equal DuckDB's neighbour AVG over the undirected adjacency (oracle)") {
+    val kg = TestKGs.yago3
+    // the kernel does not care what the features are; the planted ones sit
+    // on a 1e-6 grid, so their means often tie at the oracle's 6-decimal
+    // rounding and one ulp of summation order flips the printed digit
+    val feats = kg.nodeTypes.select(col("id"), (col("id") % 7).cast("double") as "f0",
+      sqrt(col("id").cast("double")) as "f1")
+    val hs = Aggregation.hops(kg.undirected, feats, l = 2)
+    // duplicate edges count once per copy; a node with no neighbours has no row
+    val adj = """adj AS (SELECT CAST(s AS BIGINT) AS u, CAST(o AS BIGINT) AS v FROM triples
+                |        UNION ALL SELECT CAST(o AS BIGINT), CAST(s AS BIGINT) FROM triples),
+                |h0 AS (SELECT CAST(id AS BIGINT) AS id, CAST(f0 AS DOUBLE) AS f0, CAST(f1 AS DOUBLE) AS f1 FROM feats),
+                |h1 AS (SELECT a.u AS id, AVG(h0.f0) AS f0, AVG(h0.f1) AS f1 FROM adj a JOIN h0 ON a.v = h0.id GROUP BY a.u)""".stripMargin
+    val tables = Seq("triples" -> kg.triples.select("s", "o"), "feats" -> feats)
+    Oracle.assertEquivalent(hs(1), s"WITH $adj SELECT id, f0, f1 FROM h1", tables: _*)
+    Oracle.assertEquivalent(hs(2),
+      s"WITH $adj SELECT a.u AS id, AVG(h1.f0) AS f0, AVG(h1.f1) AS f1 FROM adj a JOIN h1 ON a.v = h1.id GROUP BY a.u",
+      tables: _*)
+  }
+
+  test("each hop is one join over materialised tables, with no nested join") {
+    val kg = TestKGs.yago3
+    val adj = kg.undirected.localCheckpoint()
+    val hs = Aggregation.hops(adj, Features.nodeFeatures(kg).localCheckpoint(), l = 2)
+    assert(hs.forall(_.queryExecution.logical.isInstanceOf[LogicalRDD]))
+    for (prev <- hs.init) {
+      val plan = Aggregation.hop(adj, prev).queryExecution.optimizedPlan
+      assert(plan.collect { case j: Join => j }.size == 1, plan.treeString)
+      assert(plan.collectLeaves().forall(_.isInstanceOf[LogicalRDD]), plan.treeString)
+    }
+  }
+
+  test("node features are one projection of the node-type table, with no join") {
+    val plan = Features.nodeFeatures(TestKGs.mag).queryExecution.optimizedPlan
+    assert(plan.collect { case j: Join => j }.isEmpty, plan.treeString)
   }
 }

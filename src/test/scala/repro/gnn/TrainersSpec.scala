@@ -34,6 +34,13 @@ class TrainersSpec extends SparkSpec {
     moved.uncache()
   }
 
+  test("GraphSAINT scores the same on an explicit evalGraph = g as on its shared tables") {
+    val task = repro.synth.NCTask("CC", "YAGO3-10", "Person", 5, repro.synth.RandomSplit, (0.8, 0.1, 0.1))
+    val shared = Trainers.train("GraphSAINT", TestKGs.yago3, task, fast)
+    val own = Trainers.train("GraphSAINT", TestKGs.yago3, task, fast, evalGraph = Some(TestKGs.yago3))
+    assert(shared.accuracy == own.accuracy, s"${shared.accuracy} vs ${own.accuracy}")
+  }
+
   test("RGCN (full-batch) is charged more memory than GraphSAINT (mini-batch)") {
     val rgcn = Trainers.train("RGCN", TestKGs.yago3, repro.synth.NCTask(
       "CC", "YAGO3-10", "Person", 5, repro.synth.RandomSplit, (0.8, 0.1, 0.1)), fast)

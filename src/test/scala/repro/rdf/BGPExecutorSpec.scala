@@ -82,6 +82,12 @@ class BGPExecutorSpec extends SparkSpec {
     assert(page1.count() == math.min(100, total))
   }
 
+  test("LIMIT or OFFSET beyond Int range fails loudly instead of wrapping") {
+    // 2^32 wraps to 0 under toInt: LIMIT would return no rows, OFFSET skip none
+    for (clause <- Seq("LIMIT 4294967296", "OFFSET 4294967296"))
+      intercept[ArithmeticException](run(s"SELECT ?s ?o WHERE { ?s <rel:livesIn> ?o } $clause").count())
+  }
+
   test("two-hop chain joins share variables") {
     val got = run("SELECT ?a ?c WHERE { ?a <rel:livesIn> ?b . ?b <rel:cityInCountry> ?c }")
     val li = kg.schema.edgeType("livesIn").id
