@@ -5,13 +5,12 @@ import breeze.linalg.{argmax, DenseMatrix, DenseVector}
 import scala.collection.mutable.ArrayBuffer
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.functions._
 
 import repro.kg.KG
 import repro.sampling.RandomWalk
 import repro.synth.{NCTask, Tasks}
-import repro.timed
+import repro.{release, timed}
 
 /** Hyper-parameters shared by the trainer variants. */
 final case class TrainParams(
@@ -77,15 +76,6 @@ object Trainers {
     }
     x(::, d * hs.size) := 1.0 // bias
     (x, base.map(_.getInt(d + 1)))
-  }
-
-  /** Free a table made by ``localCheckpoint``: its blocks belong to the
-    * RDD under its plan, which ``unpersist`` (Spark's cache manager) never
-    * sees.
-    */
-  private def release(df: DataFrame): Unit = df.queryExecution.logical match {
-    case r: LogicalRDD => r.rdd.unpersist(blocking = false)
-    case _             =>
   }
 
   /** Softmax model: weights plus the train-set feature standardisation

@@ -33,9 +33,11 @@ final case class KG(schema: KGSchema, triples: DataFrame, nodeTypes: DataFrame) 
     KG(schema, flat(triples), flat(nodeTypes))
   }
 
-  /** Drop cached tables (benches call this between KGs to bound memory). */
+  /** Free both tables (benches call this between KGs to bound memory);
+    * the KG must not be read afterwards.
+    */
   def uncache(): KG = {
-    triples.unpersist(); nodeTypes.unpersist()
+    repro.release(triples); repro.release(nodeTypes)
     this
   }
 

@@ -29,6 +29,16 @@ class KGSuite extends SparkSpec {
     assert(kg.nodeTypes.exceptAll(raw.nodeTypes).count() == 0)
   }
 
+  test("uncache() frees the two RDDs cached() holds") {
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.keySet
+    val g = kg.cached()
+    val held = sc.getPersistentRDDs.keySet -- before
+    assert(held.size == 2)
+    g.uncache()
+    assert((sc.getPersistentRDDs.keySet & held).isEmpty)
+  }
+
   test("undirected view doubles the edge count") {
     assert(kg.undirected.count() == 2 * kg.triples.count())
   }

@@ -23,6 +23,14 @@ class EndpointSpec extends SparkSpec {
     assert(direct.exceptAll(paged).count() == 0)
   }
 
+  test("pages in order are the ORDER BY result: page i is its i-th LIMIT/OFFSET window") {
+    val ordered = endpoint.select(q).distinct().orderBy("s", "p", "o").collect().toSeq
+    for (par <- Seq(1, 4); bs <- Seq(61L, 97L, 10000000L)) {
+      val (paged, _) = new Endpoint(store, parallelism = par).paginated(q, bs)
+      assert(paged.collect().toSeq == ordered, s"bs = $bs, parallelism $par")
+    }
+  }
+
   test("batch size larger than the result gives one batch") {
     val (paged, nb) = endpoint.paginated(q, bs = 10000000L)
     assert(nb == 1)
