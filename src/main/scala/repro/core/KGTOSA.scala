@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
 import repro.kg.KG
@@ -26,22 +26,29 @@ final case class Extraction(
   */
 object KGTOSA {
 
-  /** Assemble a KG' from extracted triples: node set = endpoints of the
-    * triples plus all targets (targets with no matched edge must stay —
-    * they carry labels), types joined back from the full KG.
+  /** Assemble a resident KG' (as ``KG.cached()``) from extracted triples:
+    * node set = endpoints of the triples plus all targets (targets with no
+    * matched edge must stay — they carry labels), with the full KG's
+    * node-type rows. The triples are materialised first, so the node set
+    * reads them rather than evaluating their query again; it is one RDD
+    * cogroup on the node id, which generates no code (DESIGN.md §5.5).
     */
   private def fromTriples(kg: KG, triples: DataFrame, targets: DataFrame): KG = {
-    val nodes = triples.select(col("s") as "id")
-      .union(triples.select(col("o") as "id"))
-      .union(targets.select(col("id")))
-      .distinct()
-    KG(kg.schema, triples, kg.nodeTypes.join(nodes, "id"))
+    val t = KG.resident(triples)
+    val (s, o) = (t.schema.fieldIndex("s"), t.schema.fieldIndex("o"))
+    val ends = t.queryExecution.toRdd.flatMap(r => Iterator(r.getLong(s), r.getLong(o)))
+      .union(targets.select(col("id")).queryExecution.toRdd.map(_.getLong(0)))
+    val types = kg.nodeTypes.select(col("id"), col("ntype"))
+    val kept = types.queryExecution.toRdd.map(r => (r.getLong(0), r.getInt(1)))
+      .cogroup(ends.map(id => (id, ())))
+      .flatMap { case (id, (ts, hits)) => if (hits.isEmpty) Nil else ts.map(Row(id, _)) }
+    KG(kg.schema, t, KG.resident(t.sparkSession.createDataFrame(kept, types.schema)))
   }
 
   /** Algorithm 3's merge, shared by the NC and LP extractions: paginate
     * all subqueries on one worker pool, narrow their union with
     * ``restrict``, and deduplicate once — the one place that makes KG' a set
-    * of triples. The subgraph is materialised (``cached()``) inside the
+    * of triples. The subgraph is materialised (``fromTriples``) inside the
     * timing, so the measured extraction time includes doing the work.
     */
   private def sparqlMerge(endpoint: Endpoint, pattern: GraphPattern, queries: Seq[Query], bs: Long,
@@ -51,7 +58,7 @@ object KGTOSA {
       val triples = restrict(paged)
         .dropDuplicates()
         .select(col("s"), col("p").cast("int") as "p", col("o"))
-      (fromTriples(endpoint.store.kg, triples, targets).cached(), pages)
+      (fromTriples(endpoint.store.kg, triples, targets), pages)
     }
     Extraction(sub, secs, s"KG-TOSA_d${pattern.d}h${pattern.h}", nBatches, queries.map(Sparql.render))
   }

@@ -1,8 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
 
 import repro.kg.KG
 import repro.timed
@@ -22,26 +22,40 @@ final case class Transformed(
 
 object Transform {
 
+  private val nodeSchema = StructType(Seq(
+    StructField("nid", LongType, nullable = false),
+    StructField("id", LongType, nullable = false),
+    StructField("ntype", IntegerType, nullable = false)))
+
+  private val edgeSchema = StructType(Seq(
+    StructField("src", LongType, nullable = false),
+    StructField("p", IntegerType, nullable = false),
+    StructField("dst", LongType, nullable = false)))
+
   /** Transform a (sub)graph to dense-indexed adjacency, materialised and
     * cached; wall-clock time covers the whole job.
+    *
+    * ``nid`` is the 0-based rank of ``id``: a range-partitioned sort
+    * numbered by ``zipWithIndex``, not a global window, which would move
+    * every node to one partition. The sort and the two joins that relabel
+    * the edges are RDD operations, which generate no code (DESIGN.md §5.5).
     */
   def toAdjacency(g: KG): Transformed = {
+    val spark = g.triples.sparkSession
     val ((nodes, edges, nNodes, nEdges, nRels), secs) = timed {
-      val nodes = g.nodeTypes
-        .withColumn("nid", row_number().over(Window.orderBy(col("id"))).cast("long") - 1)
-        .select(col("nid"), col("id"), col("ntype"))
-        .cache()
-      val sMap = nodes.select(col("id") as "s", col("nid") as "src")
-      val oMap = nodes.select(col("id") as "o", col("nid") as "dst")
-      val edges = g.triples
-        .join(sMap, "s")
-        .join(oMap, "o")
-        .select(col("src"), col("p"), col("dst"))
-        .cache()
-      val nNodes = nodes.count()
-      val nEdges = edges.count()
-      val nRels = edges.select(col("p")).distinct().count()
-      (nodes, edges, nNodes, nEdges, nRels)
+      val ranked = g.nodeTypes.select(col("id"), col("ntype")).queryExecution.toRdd
+        .map(r => (r.getLong(0), r.getInt(1))).sortBy(_._1).zipWithIndex()
+      val nodes = spark.createDataFrame(ranked.map { case ((id, t), nid) => Row(nid, id, t) }, nodeSchema).cache()
+      val nidOf = ranked.map { case ((id, _), nid) => (id, nid) }
+      val relabelled = g.triples.select(col("s"), col("p"), col("o")).queryExecution.toRdd
+        .map(r => (r.getLong(0), (r.getInt(1), r.getLong(2))))
+        .join(nidOf).map { case (_, ((p, o), src)) => (o, (src, p)) }
+        .join(nidOf).map { case (_, ((src, p), dst)) => Row(src, p, dst) }
+      val edges = spark.createDataFrame(relabelled, edgeSchema).cache()
+      // counting a cached table per type materialises it
+      val perNtype = KG.countsBy(nodes, "ntype")
+      val perP = KG.countsBy(edges, "p")
+      (nodes, edges, perNtype.values.sum, perP.values.sum, perP.size.toLong)
     }
     Transformed(nodes, edges, secs, nNodes, nEdges, nRels)
   }

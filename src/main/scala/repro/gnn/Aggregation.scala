@@ -24,11 +24,17 @@ object Aggregation {
     *                  (hash-chosen) neighbours — ShaDow-GNN's bounded-scope
     *                  ego-graph approximation
     */
-  def adjacency(g: KG, fanoutCap: Option[Int] = None, seed: Int = 11): DataFrame = fanoutCap match {
-    case Some(c) =>
-      val w = Window.partitionBy(col("u")).orderBy(KG.hashRand(seed, col("u"), col("v")), col("v"))
-      g.undirected.withColumn("rk", row_number().over(w)).filter(col("rk") <= c).select(col("u"), col("v"))
-    case None => g.undirected
+  def adjacency(g: KG, fanoutCap: Option[Int] = None, seed: Int = 11): DataFrame = {
+    // no edge has a null end; coalesce says so in the schema, so hop tables
+    // (keyed by u) have the feature table's non-null id and every hop runs
+    // the same generated code
+    val und = g.undirected.select(coalesce(col("u"), lit(-1L)) as "u", coalesce(col("v"), lit(-1L)) as "v")
+    fanoutCap match {
+      case Some(c) =>
+        val w = Window.partitionBy(col("u")).orderBy(KG.hashRand(seed, col("u"), col("v")), col("v"))
+        und.withColumn("rk", row_number().over(w)).filter(col("rk") <= c).select(col("u"), col("v"))
+      case None => und
+    }
   }
 
   /** One hop: for every node ``u`` with a neighbour in ``prev``, the mean of

@@ -50,8 +50,11 @@ object LinkPred {
 
       // Table II's test ratios (0.3–3.5%) leave single-digit eval sets at
       // 1/1000 scale — statistically useless for Hits@10. Widen the holdout
-      // to ≥ ~60 edges (capped at 10%) with the same deterministic hash, so
-      // FG and KG' hold out the *same* edges (documented in DESIGN.md §2).
+      // to ≥ ~60 edges (capped at 10%). An edge is held out by a hash of
+      // (s, o) against a threshold set by ``evalFrac``, which depends on
+      // ``nPred``: FG counts its duplicate triples and KG' (a set) does not,
+      // so the two graphs can get different thresholds and different test
+      // edges (ROADMAP item 5, "Triples as a set").
       val evalFrac = math.max(task.ratios._3, math.min(0.10, 60.0 / nPred))
       val q = KG.hashRand(9002, col("s"), col("o"))
       val testDf = predEdges.filter(q >= 1.0 - evalFrac).select(col("s"), col("o"))

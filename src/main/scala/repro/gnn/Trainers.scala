@@ -53,21 +53,23 @@ object Trainers {
 
   val methods: Seq[String] = Seq("RGCN", "SeHGNN", "GraphSAINT", "ShaDowSAINT")
 
-  /** Collect (features, labels) of the task's ``fold`` targets from hop
-    * tables ``hs`` (``h0 = feats, h1 .. hL``, each ``(id, f*)``). Each table
-    * gives only those rows; ``h0`` fixes the row set, in id order, and a
-    * target with no row in a hop table (no neighbours) keeps zeros there.
+  /** Collect (features, labels) of the task's targets from hop tables
+    * ``hs`` (``h0 = feats, h1 .. hL``, each ``(id, f*)``), split by fold
+    * (0 = train, 1 = valid, 2 = test). Each table gives only target rows;
+    * ``h0`` fixes the row set, in id order, and a target with no row in a
+    * hop table (no neighbours) keeps zeros there. The fold is a collected
+    * column, not a filter literal, so every call runs the same code.
     */
-  private def collectXY(hs: Seq[DataFrame], g: KG, task: NCTask, fold: Int): (DenseMatrix[Double], Array[Int]) = {
+  private def collectXY(hs: Seq[DataFrame], g: KG, task: NCTask): Map[Int, (DenseMatrix[Double], Array[Int])] = {
     val (label, foldOf) = Tasks.labelAndFold(g.schema, task)
-    val rows = g.schema.nodeType(task.targetType).contains(col("id")) && foldOf === fold
+    val targets = g.schema.nodeType(task.targetType).contains(col("id"))
     val fs = hs.head.columns.filter(_ != "id").map(col).toSeq
-    val base = hs.head.filter(rows).select((col("id") +: fs :+ label): _*).collect().sortBy(_.getLong(0))
+    val base = hs.head.filter(targets).select((col("id") +: fs :+ label :+ foldOf): _*).collect().sortBy(_.getLong(0))
     val index = base.iterator.map(_.getLong(0)).zipWithIndex.toMap
     val d = fs.size
     val x = DenseMatrix.zeros[Double](base.length, d * hs.size + 1)
     for ((h, k) <- hs.zipWithIndex) {
-      val hk = if (k == 0) base else h.filter(rows).select((col("id") +: fs): _*).collect()
+      val hk = if (k == 0) base else h.filter(targets).select((col("id") +: fs): _*).collect()
       for (r <- hk) {
         val i = index(r.getLong(0))
         var j = 0
@@ -75,7 +77,11 @@ object Trainers {
       }
     }
     x(::, d * hs.size) := 1.0 // bias
-    (x, base.map(_.getInt(d + 1)))
+    base.indices.groupBy(i => base(i).getInt(d + 2)).map { case (fold, rows) =>
+      val xf = DenseMatrix.zeros[Double](rows.size, x.cols)
+      for ((i, r) <- rows.zipWithIndex) xf(r, ::) := x(i, ::)
+      fold -> (xf, rows.map(base(_).getInt(d + 1)).toArray)
+    }.withDefaultValue((DenseMatrix.zeros[Double](0, x.cols), Array.empty[Int]))
   }
 
   /** Softmax model: weights plus the train-set feature standardisation
@@ -198,6 +204,7 @@ object Trainers {
     lazy val adj = keep(Aggregation.adjacency(g, cap, p.seed))
     lazy val feats = keep(Features.nodeFeatures(g))
     lazy val full = hops(adj, feats)
+    lazy val fullXY = collectXY(full, g, task)
 
     // --- gather training batches (Spark message passing) -------------------
     val (trainBatches, prepSecs) = timed {
@@ -206,14 +213,16 @@ object Trainers {
           val ids = g.nodeTypes.select("id")
           (0 until p.batches).map { b =>
             val seed = p.seed * 100 + b
-            val vs = keep(RandomWalk.visited(adj, RandomWalk.sampleIds(ids, p.rootsPerBatch, seed), p.walkLen, seed))
+            val vs = RandomWalk.visited(adj, RandomWalk.sampleIds(ids, p.rootsPerBatch, seed), p.walkLen, seed)
+            // broadcast: at most rootsPerBatch · (walkLen + 1) rows
+            def inBatch(c: String) = broadcast(vs.withColumnRenamed("id", c))
             // the batch's induced subgraph: edges with both ends visited
-            val batchAdj = keep(adj.join(vs.withColumnRenamed("id", "u"), Seq("u"), "leftsemi")
-              .join(vs.withColumnRenamed("id", "v"), Seq("v"), "leftsemi"))
-            collectXY(hops(batchAdj, keep(feats.join(vs, Seq("id"), "leftsemi"))), g, task, fold = 0)
+            val batchAdj = keep(adj.join(inBatch("u"), Seq("u"), "leftsemi").join(inBatch("v"), Seq("v"), "leftsemi")
+              .select(adj.columns.map(col).toSeq: _*))
+            collectXY(hops(batchAdj, keep(feats.join(inBatch("id"), Seq("id"), "leftsemi"))), g, task)(0)
           }
         case _ => // RGCN, SeHGNN, ShaDowSAINT: full (ShaDow: fanout-capped) aggregation
-          Seq(collectXY(full, g, task, fold = 0))
+          Seq(fullXY(0))
       }
     }
 
@@ -223,8 +232,8 @@ object Trainers {
     val ((testX, testY), inferSecs) = timed {
       evalGraph match {
         case Some(e) =>
-          collectXY(hops(keep(Aggregation.adjacency(e, cap, p.seed)), keep(Features.nodeFeatures(e))), e, task, fold = 2)
-        case None => collectXY(full, g, task, fold = 2)
+          collectXY(hops(keep(Aggregation.adjacency(e, cap, p.seed)), keep(Features.nodeFeatures(e))), e, task)(2)
+        case None => fullXY(2)
       }
     }
     val acc = accuracyOf(head, testX, testY)

@@ -1,5 +1,7 @@
 package repro.kg
 
+import scala.collection.mutable
+
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 
@@ -27,11 +29,7 @@ final case class KG(schema: KGSchema, triples: DataFrame, nodeTypes: DataFrame) 
     * without this every later scan of the resident KG would run ~100 tiny
     * tasks. Tables with fewer partitions keep theirs.
     */
-  def cached(): KG = {
-    val cores = triples.sparkSession.sparkContext.defaultParallelism
-    def flat(df: DataFrame): DataFrame = df.coalesce(cores).localCheckpoint(true)
-    KG(schema, flat(triples), flat(nodeTypes))
-  }
+  def cached(): KG = KG(schema, KG.resident(triples), KG.resident(nodeTypes))
 
   /** Free both tables (benches call this between KGs to bound memory);
     * the KG must not be read afterwards.
@@ -45,21 +43,17 @@ final case class KG(schema: KGSchema, triples: DataFrame, nodeTypes: DataFrame) 
     * catch generator bugs such as empty types or dropped predicates.
     */
   def stats: KGStats = {
-    val row = triples
-      .agg(count(lit(1)) as "edges", countDistinct(col("p")) as "etypes")
-      .head()
-    val nrow = nodeTypes
-      .agg(count(lit(1)) as "nodes", countDistinct(col("ntype")) as "ntypes")
-      .head()
-    KGStats(nrow.getLong(0), row.getLong(0), nrow.getLong(1), row.getLong(1))
+    val e = KG.countsBy(triples, "p")
+    val n = KG.countsBy(nodeTypes, "ntype")
+    KGStats(n.values.sum, e.values.sum, n.size.toLong, e.size.toLong)
   }
 
   /** Undirected adjacency view ``(u, v)`` — each triple contributes both
     * directions; used by random walks, BFS distance and entropy metrics.
     */
   def undirected: DataFrame =
-    triples.select(col("s") as "u", col("o") as "v")
-      .union(triples.select(col("o") as "u", col("s") as "v"))
+    triples.select(explode(array(struct(col("s") as "u", col("o") as "v"), struct(col("o") as "u", col("s") as "v"))) as "e")
+      .select(col("e.u") as "u", col("e.v") as "v")
 
   /** Node ids of one node type (by name) as a single-column DF ``id``. */
   def nodesOfType(typeName: String): DataFrame =
@@ -67,10 +61,45 @@ final case class KG(schema: KGSchema, triples: DataFrame, nodeTypes: DataFrame) 
 }
 
 object KG {
+
+  /** One table of [[KG.cached]]: coalesced to at most one partition per
+    * core, materialised, its lineage truncated.
+    */
+  def resident(df: DataFrame): DataFrame =
+    df.coalesce(df.sparkSession.sparkContext.defaultParallelism).localCheckpoint(true)
+
+  /** Rows of ``df`` per value of its int column ``c``: one map entry per
+    * value (per type, for a type column), counted in each partition and
+    * merged on the driver. No shuffle and no aggregation query: the only
+    * generated code reads the table's rows, as every full read of it does
+    * (DESIGN.md §5.5).
+    */
+  def countsBy(df: DataFrame, c: String): Map[Int, Long] = {
+    val i = df.schema.fieldIndex(c)
+    df.queryExecution.toRdd.mapPartitions { rows =>
+      val m = mutable.HashMap.empty[Int, Long]
+      rows.foreach { r => val k = r.getInt(i); m(k) = m.getOrElse(k, 0L) + 1 }
+      Iterator(m.toMap)
+    }.fold(Map.empty)((a, b) => b.foldLeft(a) { case (acc, (k, n)) => acc.updated(k, acc.getOrElse(k, 0L) + n) })
+  }
+
   /** Deterministic uniform(0,1) pseudo-random from arbitrary columns —
     * unlike ``rand()`` it does not depend on partitioning, so generators
     * and samplers are reproducible across sessions and parallelism levels.
     */
-  def hashRand(salt: Int, cols: Column*): Column =
-    (pmod(hash((cols :+ lit(salt)): _*), lit(1000000)).cast("double") + 0.5) / 1000000.0
+  def hashRand(salt: Int, cols: Column*): Column = hashRand(lit(salt), cols: _*)
+
+  /** [[hashRand]] with the salt read from an ``int`` column: the hash of an
+    * int column equals the hash of the same int literal, and generated code
+    * that reads the salt as data does not change with its value.
+    */
+  def hashRand(salt: Column, cols: Column*): Column =
+    (hashBucket(salt, cols: _*).cast("double") + 0.5) / HashBuckets.toDouble
+
+  /** The integer behind [[hashRand]]: one of a million buckets, ordered as
+    * the uniform draw is.
+    */
+  def hashBucket(salt: Column, cols: Column*): Column = pmod(hash((cols :+ salt): _*), lit(HashBuckets))
+
+  private val HashBuckets = 1000000
 }

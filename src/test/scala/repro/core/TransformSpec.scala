@@ -1,5 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.execution.SparkPlan
+import org.apache.spark.sql.execution.adaptive.{AdaptiveSparkPlanExec, QueryStageExec}
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, TestKGs}
@@ -14,6 +18,24 @@ class TransformSpec extends SparkSpec {
     assert(mm.getLong(0) == 0L)
     assert(mm.getLong(1) == t.nNodes - 1)
     assert(t.nodes.select("nid").distinct().count() == t.nNodes)
+  }
+
+  test("nid is the 0-based rank of id") {
+    val byId = t.nodes.select("id", "nid").collect().map(r => (r.getLong(0), r.getLong(1))).sortBy(_._1)
+    assert(byId.map(_._2).toSeq == byId.indices.map(_.toLong))
+  }
+
+  test("the executed plans of the transformed tables hold no Window operator") {
+    // every operator that ran, through AQE stages and into cached plans
+    def operators(p: SparkPlan): Seq[SparkPlan] = p +: (p match {
+      case a: AdaptiveSparkPlanExec => operators(a.executedPlan)
+      case q: QueryStageExec        => operators(q.plan)
+      case m: InMemoryTableScanExec => operators(m.relation.cachedPlan)
+      case other                    => other.children.flatMap(operators)
+    })
+    val ops = Seq(t.nodes, t.edges).flatMap(df => operators(df.queryExecution.executedPlan))
+    assert(ops.count(_.isInstanceOf[InMemoryTableScanExec]) == 2, "both tables are served from the cache")
+    assert(!ops.exists(_.isInstanceOf[WindowExec]), ops.map(_.nodeName).distinct.mkString(", "))
   }
 
   test("edge count and relation count are preserved") {

@@ -1,5 +1,7 @@
 package repro.gnn
 
+import org.apache.spark.metrics.source.CodegenMetrics
+
 import repro.{SparkSpec, TestKGs}
 import repro.synth.Tasks
 
@@ -39,6 +41,14 @@ class TrainersSpec extends SparkSpec {
     val shared = Trainers.train("GraphSAINT", TestKGs.yago3, task, fast)
     val own = Trainers.train("GraphSAINT", TestKGs.yago3, task, fast, evalGraph = Some(TestKGs.yago3))
     assert(shared.accuracy == own.accuracy, s"${shared.accuracy} vs ${own.accuracy}")
+  }
+
+  test("a GraphSAINT call with another seed compiles no new code") {
+    val task = repro.synth.NCTask("CC", "YAGO3-10", "Person", 5, repro.synth.RandomSplit, (0.8, 0.1, 0.1))
+    Trainers.train("GraphSAINT", TestKGs.yago3, task, fast)
+    val before = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
+    Trainers.train("GraphSAINT", TestKGs.yago3, task, fast.copy(seed = 8))
+    assert(CodegenMetrics.METRIC_COMPILATION_TIME.getCount - before == 0)
   }
 
   test("RGCN (full-batch) is charged more memory than GraphSAINT (mini-batch)") {

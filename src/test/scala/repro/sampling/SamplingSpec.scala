@@ -1,5 +1,7 @@
 package repro.sampling
 
+import org.apache.spark.metrics.source.CodegenMetrics
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, TestKGs}
@@ -68,6 +70,40 @@ class SamplingSpec extends SparkSpec {
     val a = RandomWalk.visited(kg.undirected, roots, 2, 8)
     val b = RandomWalk.visited(kg.undirected, roots, 2, 8)
     assert(a.exceptAll(b).count() == 0)
+  }
+
+  test("visited with a new seed compiles no new code") {
+    def walk(seed: Int): Unit = RandomWalk.visited(kg.undirected, RandomWalk.sampleIds(targets, 20, seed), 2, seed).collect()
+    walk(21)
+    val before = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
+    walk(22)
+    assert(CodegenMetrics.METRIC_COMPILATION_TIME.getCount - before == 0)
+  }
+
+  test("sampleIds and visited equal a walk with literal salts (oracle)") {
+    // the queries of a walk that inlines every seed and step salt as a literal
+    def literalSample(n: Int, seed: Int): DataFrame =
+      targets.orderBy(KG.hashRand(seed, col("id")), col("id")).limit(n)
+    def literalWalk(adj: DataFrame, roots: DataFrame, h: Int, seed: Int): Set[Long] = {
+      var frontier = roots.select(col("id") as "walker", col("id") as "cur")
+      var acc = roots.select(col("id"))
+      for (step <- 1 to h) {
+        frontier = frontier.join(adj, frontier("cur") === adj("u"))
+          .select(col("walker"), col("v"), KG.hashRand(seed * 1000 + step, col("walker"), col("v")) as "r")
+          .groupBy(col("walker"))
+          .agg(min(struct(col("r"), col("v"))) as "m")
+          .select(col("walker"), col("m.v") as "cur")
+          .localCheckpoint()
+        acc = acc.union(frontier.select(col("cur") as "id"))
+      }
+      acc.distinct().collect().map(_.getLong(0)).toSet
+    }
+    def ids(df: DataFrame): Set[Long] = df.collect().map(_.getLong(0)).toSet
+    for ((seed, h) <- Seq((31, 2), (32, 3))) {
+      val roots = literalSample(25, seed).localCheckpoint()
+      assert(ids(RandomWalk.sampleIds(targets, 25, seed)) == ids(roots))
+      assert(ids(RandomWalk.visited(kg.undirected, roots, h, seed)) == literalWalk(kg.undirected, roots, h, seed))
+    }
   }
 
   // ------------------------------------------------------------------- induce
