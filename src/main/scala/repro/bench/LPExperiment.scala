@@ -37,11 +37,11 @@ object LPExperiment {
   }
 
   def render(rows: Seq[Row]): String = {
-    val header = Seq("Task", "Method", "Graph", "Hits@10", "Train(s)",
+    val header = Seq("Task", "Method", "Graph", "Hits@10", "MRR", "Train(s)",
       "Extract(s)", "Params(M)", "Mem(GB)", "#train", "#test")
     val body = rows.map { r =>
-      Seq(r.task, r.method, r.graph, Harness.f2(r.r.hits10), Harness.f1(r.r.trainSeconds),
-        Harness.f1(r.extractSec), Harness.f1(r.r.params / 1e6),
+      Seq(r.task, r.method, r.graph, Harness.f2(r.r.hits10), Harness.f2(r.r.mrr),
+        Harness.f1(r.r.trainSeconds), Harness.f1(r.extractSec), Harness.f1(r.r.params / 1e6),
         Harness.f2(MemoryModel.gb(r.r.memoryBytes)),
         r.r.trainTriples.toString, r.r.testTriples.toString)
     }

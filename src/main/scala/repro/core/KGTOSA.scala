@@ -47,16 +47,20 @@ object KGTOSA {
 
   /** Algorithm 3's merge, shared by the NC and LP extractions: paginate
     * all subqueries on one worker pool, narrow their union with
-    * ``restrict``, and deduplicate once — the one place that makes KG' a set
-    * of triples. The subgraph is materialised (``fromTriples``) inside the
-    * timing, so the measured extraction time includes doing the work.
+    * ``restrict``, and deduplicate where a union can repeat a row — the one
+    * place that makes KG' a set of triples. The subgraph is materialised
+    * (``fromTriples``) inside the timing, so the measured extraction time
+    * includes doing the work.
     */
   private def sparqlMerge(endpoint: Endpoint, pattern: GraphPattern, queries: Seq[Query], bs: Long,
                           targets: DataFrame, restrict: DataFrame => DataFrame = identity): Extraction = {
     val ((sub, nBatches), secs) = timed {
       val (paged, pages) = endpoint.paginated(queries, bs)
-      val triples = restrict(paged)
-        .dropDuplicates()
+      // each subquery's pages are already a set; only a union repeats rows:
+      // of two or more subqueries, or restrict's on("s") ∪ on("o"), which
+      // only d = 2 patterns (two or more subqueries) use
+      val merged = restrict(paged)
+      val triples = (if (queries.size > 1) merged.dropDuplicates() else merged)
         .select(col("s"), col("p").cast("int") as "p", col("o"))
       (fromTriples(endpoint.store.kg, triples, targets), pages)
     }

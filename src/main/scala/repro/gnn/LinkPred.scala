@@ -3,7 +3,7 @@ package repro.gnn
 import scala.collection.mutable
 import scala.util.Random
 
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.{col, lit}
 
 import repro.kg.KG
 import repro.synth.LPTask
@@ -13,12 +13,21 @@ import repro.timed
 final case class LPResult(
     method: String,
     hits10: Double,
+    mrr: Double,
     trainSeconds: Double,
     params: Long,
     memoryBytes: Long,
     trainTriples: Long,
     testTriples: Long,
 )
+
+/** One graph as LP training reads it ([[LinkPred.split]]): the training
+  * triples ``(s, p, o)`` and the held-out ``(s, o)`` edges of the task
+  * predicate, both sorted, and the node index — ``nodes(i)`` is the node of
+  * index ``i``, numbered in first-seen order over ``train`` then ``test``.
+  */
+final case class LPData(train: Array[(Long, Int, Long)], test: Array[(Long, Long)],
+                        nodes: Array[Long], index: collection.Map[Long, Int])
 
 /** Missing-entity link prediction (Definition 2.3) with translational
   * embeddings:
@@ -31,49 +40,66 @@ final case class LPResult(
   *                 memory model), training identical to MorsE here
   *
   * Trained driver-side with margin ranking + negative sampling over the
-  * (sub)graph's triples; Hits@10 is filtered to type-compatible candidates.
+  * (sub)graph's triples, read by one Spark job per call; Hits@10 and
+  * filtered MRR rank against type-compatible candidates.
   */
 object LinkPred {
 
   val methods: Seq[String] = Seq("MorsE", "LHGNN", "RGCN")
 
+  /** Salt of the holdout hash, ``KG.hashRand(HoldoutSalt, s, o)``. */
+  private val HoldoutSalt = 9002
+
+  /** Every triple of ``g`` with its holdout bucket,
+    * ``(s, p, o, hashBucket(HoldoutSalt, s, o))``: one Spark job.
+    */
+  def read(g: KG): Array[(Long, Int, Long, Int)] =
+    g.triples.select(col("s"), col("p"), col("o"), KG.hashBucket(lit(HoldoutSalt), col("s"), col("o")))
+      .collect().map(r => (r.getLong(0), r.getInt(1), r.getLong(2), r.getInt(3)))
+
+  /** Share of the predicate's ``nPred`` edges held out for testing. Table
+    * II's test ratios (0.3–3.5%) leave single-digit eval sets at 1/1000
+    * scale — statistically useless for Hits@10 — so the holdout is widened
+    * to ≥ ~60 edges (capped at 10%). FG counts its duplicate triples and KG'
+    * (a set) does not, so the two graphs can get different fractions and
+    * different test edges (ROADMAP item 5, "Triples as a set").
+    */
+  def evalFrac(testRatio: Double, nPred: Long): Double =
+    math.max(testRatio, math.min(0.10, 60.0 / math.max(1L, nPred)))
+
+  /** Split [[read]]'s rows into train and test, sort both and index their
+    * nodes; pure and independent of the training seed. An edge of
+    * predicate ``pred`` is held out when its hash draw, ``KG.uniform`` of
+    * its bucket, is at least ``1 - evalFrac``: the driver twin of the
+    * Spark filter ``KG.hashRand(HoldoutSalt, s, o) >= 1 - evalFrac``.
+    * Sorting makes the index order, the initial embeddings and the SGD
+    * order depend on the triples, not on the order the rows were read in.
+    */
+  def split(rows: Array[(Long, Int, Long, Int)], pred: Int, testRatio: Double): LPData = {
+    val cut = 1.0 - evalFrac(testRatio, rows.count(_._2 == pred).toLong)
+    val (held, kept) = rows.partition { case (_, p, _, b) => p == pred && KG.uniform(b) >= cut }
+    val train = kept.map { case (s, p, o, _) => (s, p, o) }.sorted
+    val test = held.map { case (s, _, o, _) => (s, o) }.sorted
+    val index = mutable.HashMap[Long, Int]()
+    val nodes = mutable.ArrayBuffer[Long]()
+    def add(v: Long): Unit = if (!index.contains(v)) { index(v) = nodes.length; nodes += v }
+    train.foreach { case (s, _, o) => add(s); add(o) }
+    test.foreach { case (s, o) => add(s); add(o) }
+    LPData(train, test, nodes.toArray, index)
+  }
+
   def train(g: KG, task: LPTask, method: String = "MorsE",
             dim: Int = 16, epochs: Int = 12, lr: Double = 0.05,
             margin: Double = 1.0, seed: Int = 13): LPResult = {
     require(methods.contains(method), s"unknown LP method $method")
-    val ((hits10, nNodes, nRels, nTrain, nTest), secs) = timed {
+    val ((hits10, mrr, nNodes, nRels, nTrain, nTest), secs) = timed {
 
       val schema = g.schema
       val pT = schema.edgeType(task.predicate)
-      val predEdges = g.triples.filter(col("p") === pT.id)
-      val nPred = math.max(1L, predEdges.count())
-
-      // Table II's test ratios (0.3–3.5%) leave single-digit eval sets at
-      // 1/1000 scale — statistically useless for Hits@10. Widen the holdout
-      // to ≥ ~60 edges (capped at 10%). An edge is held out by a hash of
-      // (s, o) against a threshold set by ``evalFrac``, which depends on
-      // ``nPred``: FG counts its duplicate triples and KG' (a set) does not,
-      // so the two graphs can get different thresholds and different test
-      // edges (ROADMAP item 5, "Triples as a set").
-      val evalFrac = math.max(task.ratios._3, math.min(0.10, 60.0 / nPred))
-      val q = KG.hashRand(9002, col("s"), col("o"))
-      val testDf = predEdges.filter(q >= 1.0 - evalFrac).select(col("s"), col("o"))
-      val trainDf = g.triples.filter(col("p") =!= pT.id)
-        .union(predEdges.filter(q < 1.0 - evalFrac))
-
-      // sorted, so the index order, the initial embeddings and the SGD order
-      // depend on the triples, not on the order the rows were collected in
-      val train = trainDf.collect().map(r => (r.getLong(0), r.getInt(1), r.getLong(2))).sorted
-      val test = testDf.collect().map(r => (r.getLong(0), r.getLong(1))).sorted
-
-      // driver-side index
-      val nodeIdx = mutable.LinkedHashMap[Long, Int]()
-      def idx(v: Long): Int = nodeIdx.getOrElseUpdate(v, nodeIdx.size)
-      train.foreach { case (s, _, o) => idx(s); idx(o) }
-      test.foreach { case (s, o) => idx(s); idx(o) }
+      val LPData(train, test, nodes, index) = split(read(g), pT.id, task.ratios._3)
       val dstRange = schema.nodeTypes(pT.dstType)
-      val candidates = nodeIdx.keys.filter(dstRange.contains).map(nodeIdx).toArray
-      val nNodes = nodeIdx.size
+      val candidates = nodes.indices.filter(i => dstRange.contains(nodes(i))).toArray
+      val nNodes = nodes.length
       val rels = train.map(_._2).distinct.sorted
       val relIdx = rels.zipWithIndex.toMap
       val nRels = math.max(1, rels.length)
@@ -118,7 +144,7 @@ object LinkPred {
         }
       }
 
-      val trainIdx = train.map { case (s, p, o) => (idx(s), relIdx(p), idx(o)) }
+      val trainIdx = train.map { case (s, p, o) => (index(s), relIdx(p), index(o)) }
       for (_ <- 0 until epochs) {
         trainIdx.foreach { case (s, p, o) =>
           // half the negatives are type-compatible (hard), half uniform
@@ -129,30 +155,45 @@ object LinkPred {
         }
       }
 
-      // Hits@10 over type-compatible candidates
+      // Hits@10 (raw: every candidate but the true one competes) and
+      // filtered MRR (a candidate c with a known true (s, pT, c) in train or
+      // test does not count against the rank), over type-compatible candidates
+      def pair(s: Int, o: Int): Long = (s.toLong << 32) | o
+      val known = mutable.HashSet[Long]()
+      train.foreach { case (s, p, o) => if (p == pT.id) known += pair(index(s), index(o)) }
+      test.foreach { case (s, o) => known += pair(index(s), index(o)) }
       val pIdx = relIdx.getOrElse(pT.id, 0)
       var hits = 0
+      var reciprocal = 0.0
       test.foreach { case (sRaw, oRaw) =>
-        val s = nodeIdx(sRaw)
-        val o = nodeIdx(oRaw)
+        val s = index(sRaw)
+        val o = index(oRaw)
         val sTrue = score(s, pIdx, o)
         var better = 0
+        var betterFiltered = 0
         var i = 0
         while (i < candidates.length) {
-          if (candidates(i) != o && score(s, pIdx, candidates(i)) < sTrue) better += 1
+          val c = candidates(i)
+          if (c != o && score(s, pIdx, c) < sTrue) {
+            better += 1
+            if (!known(pair(s, c))) betterFiltered += 1
+          }
           i += 1
         }
         if (better < 10) hits += 1
+        reciprocal += 1.0 / (betterFiltered + 1)
       }
-      val hits10 = if (test.isEmpty || candidates.isEmpty) 0.0 else hits.toDouble / test.length
+      val scored = test.nonEmpty && candidates.nonEmpty
+      val hits10 = if (scored) hits.toDouble / test.length else 0.0
+      val mrr = if (scored) reciprocal / test.length else 0.0
 
-      (hits10, nNodes, nRels, train.length, test.length)
+      (hits10, mrr, nNodes, nRels, train.length, test.length)
     }
     val bigF = MemoryModel.F
     val projParams = if (method == "LHGNN") nRels.toLong * bigF else 0L
     val params = nNodes.toLong * bigF + nRels.toLong * bigF + projParams
     val mem = 16L * nTrain + 24L * params +
       (if (method == "RGCN") 8L * nNodes * bigF * 3 else 0L)
-    LPResult(method, hits10, secs, params, mem, nTrain.toLong, nTest.toLong)
+    LPResult(method, hits10, mrr, secs, params, mem, nTrain.toLong, nTest.toLong)
   }
 }

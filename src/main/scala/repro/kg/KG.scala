@@ -94,12 +94,24 @@ object KG {
     * that reads the salt as data does not change with its value.
     */
   def hashRand(salt: Column, cols: Column*): Column =
-    (hashBucket(salt, cols: _*).cast("double") + 0.5) / HashBuckets.toDouble
+    centre[Column](hashBucket(salt, cols: _*).cast("double"), _ + _, _ / _)
 
   /** The integer behind [[hashRand]]: one of a million buckets, ordered as
     * the uniform draw is.
     */
   def hashBucket(salt: Column, cols: Column*): Column = pmod(hash((cols :+ salt): _*), lit(HashBuckets))
+
+  /** [[hashRand]] of a collected [[hashBucket]] value, on the driver: the
+    * same IEEE operations Spark runs, so a driver-side comparison decides
+    * exactly as the Column one.
+    */
+  def uniform(bucket: Int): Double = centre[Double](bucket.toDouble, _ + _, _ / _)
+
+  /** Bucket → uniform(0,1), the centre of the bucket's interval: the one
+    * formula behind [[hashRand]] and [[uniform]].
+    */
+  private def centre[A](bucket: A, plus: (A, Double) => A, div: (A, Double) => A): A =
+    div(plus(bucket, 0.5), HashBuckets.toDouble)
 
   private val HashBuckets = 1000000
 }

@@ -1,6 +1,8 @@
 package repro.gnn
 
 import org.apache.spark.sql.functions.col
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 
 import repro.{SparkSpec, TestKGs}
 import repro.kg.KG
@@ -56,5 +58,57 @@ class LinkPredSpec extends SparkSpec {
   test("unknown LP methods are rejected") {
     intercept[IllegalArgumentException](
       LinkPred.train(TestKGs.yago3, Tasks.CA_YAGO3, "TuckER"))
+  }
+
+  test("one train call reads its graph in one Spark job") {
+    val kg = TestKGs.yago3
+    val sc = spark.sparkContext
+    sc.setJobGroup("lp-train", "LinkPred.train")
+    try LinkPred.train(kg, Tasks.CA_YAGO3, "MorsE", epochs = 1)
+    finally sc.clearJobGroup()
+    // the status tracker hears of jobs in order: once it has seen a later
+    // job, it has seen every job of the call
+    sc.setJobGroup("lp-train-after", "marker")
+    try sc.parallelize(Seq(1), 1).count()
+    finally sc.clearJobGroup()
+    eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup("lp-train-after").nonEmpty))
+    assert(sc.statusTracker.getJobIdsForGroup("lp-train").length == 1)
+  }
+
+  test("the driver-side holdout is Spark's hashRand filter") {
+    for ((kg, task) <- Seq(TestKGs.yago3 -> Tasks.CA_YAGO3, TestKGs.dblp -> Tasks.AA_DBLP)) {
+      val p = kg.schema.edgeType(task.predicate).id
+      val data = LinkPred.split(LinkPred.read(kg), p, task.ratios._3)
+      val pred = kg.triples.filter(col("p") === p)
+      val cut = 1.0 - LinkPred.evalFrac(task.ratios._3, pred.count())
+      val q = KG.hashRand(9002, col("s"), col("o"))
+      val test = pred.filter(q >= cut).collect().map(r => (r.getLong(0), r.getLong(2)))
+      val train = kg.triples.filter(col("p") =!= p).union(pred.filter(q < cut)).collect()
+        .map(r => (r.getLong(0), r.getInt(1), r.getLong(2)))
+      assert(test.nonEmpty, task.name)
+      assert(data.test.sameElements(test.sorted), s"${task.name} test edges")
+      assert(data.train.sameElements(train.sorted), s"${task.name} train triples")
+      assert(data.nodes.length == data.index.size)
+      assert(data.nodes.indices.forall(i => data.index(data.nodes(i)) == i))
+    }
+  }
+
+  test("per-seed Hits@10 equals the values of the Spark-side holdout") {
+    // pinned from the Spark-side holdout filter, seeds 13 to 16
+    val pinned = Seq(
+      ("MorsE", TestKGs.yago3, Tasks.CA_YAGO3, Seq(1.0, 0.8867924528301887, 1.0, 1.0)),
+      ("LHGNN", TestKGs.yago3, Tasks.CA_YAGO3,
+        Seq(0.7169811320754716, 0.7735849056603774, 0.8867924528301887, 0.8113207547169812)),
+      ("MorsE", TestKGs.dblp, Tasks.AA_DBLP, Seq(0.45714285714285713, 0.4, 0.35714285714285715, 0.4714285714285714)),
+    )
+    for ((m, kg, task, expected) <- pinned; (hits, seed) <- expected.zip(13 to 16))
+      assert(LinkPred.train(kg, task, m, seed = seed).hits10 == hits, s"$m ${task.kgName} seed $seed")
+  }
+
+  test("filtered MRR is in (0, 1] and credits each Hits@10 hit with at least 1/10") {
+    val r = LinkPred.train(TestKGs.dblp, Tasks.AA_DBLP, "MorsE", epochs = 4)
+    assert(r.mrr > 0.0 && r.mrr <= 1.0, s"MRR ${r.mrr}")
+    // a rank within 10 gives a reciprocal rank of at least 1/10
+    assert(r.mrr >= r.hits10 / 10, s"MRR ${r.mrr} vs Hits@10 ${r.hits10}")
   }
 }

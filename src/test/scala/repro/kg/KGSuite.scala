@@ -80,4 +80,17 @@ class KGSuite extends SparkSpec {
     val mean = spark.range(20000).select(avg(KG.hashRand(3, col("id")))).head().getDouble(0)
     assert(math.abs(mean - 0.5) < 0.02)
   }
+
+  test("uniform of a collected hashBucket is hashRand, bit for bit") {
+    val rows = spark.range(20000)
+      .select(KG.hashBucket(lit(9002), col("id"), col("id") * 3), KG.hashRand(9002, col("id"), col("id") * 3))
+      .collect()
+    rows.foreach(r => assert(KG.uniform(r.getInt(0)) == r.getDouble(1), s"bucket ${r.getInt(0)}"))
+  }
+
+  test("an RDD shuffle over a pair of primitives runs (Kryo on Java 17)") {
+    val pairs = spark.sparkContext.parallelize(0L until 1000L, 4).map(i => (i % 7, (i % 3).toInt))
+    assert(pairs.sortByKey().keys.collect().sorted.sameElements((0L until 1000L).map(_ % 7).sorted))
+    assert(pairs.countByValue().values.sum == 1000L)
+  }
 }
