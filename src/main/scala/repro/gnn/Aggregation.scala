@@ -1,8 +1,10 @@
 package repro.gnn
 
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.{HashPartitioner, Partitioner}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 
 import repro.kg.KG
 
@@ -12,48 +14,68 @@ import repro.kg.KG
   * the classifier head exactly as SeHGNN does (aggregate once, then train).
   *
   * The aggregation is relation-blind: every edge counts the same whatever
-  * its predicate. Each hop is its own shallow query over a materialised
-  * previous hop, so every hop of every graph runs the same plan shape
-  * (DESIGN.md §5.5).
+  * its predicate. It runs on RDDs, which generate no code: the adjacency is
+  * ``(v, u)`` pairs and the features ``(id, vector)`` pairs under one hash
+  * partitioner, so a hop is a co-partitioned (narrow) join plus one shuffle
+  * into that partitioner, and L hops cost L shuffles (DESIGN.md §5.5).
   */
 object Aggregation {
 
-  /** Undirected adjacency ``(u, v)`` of ``g`` (duplicate edges kept).
+  /** Node vectors keyed by node id. */
+  type Vectors = RDD[(Long, Array[Double])]
+
+  /** Undirected adjacency of ``g`` as ``(v, u)`` pairs (a message from
+    * ``v`` to ``u``; duplicate edges kept), hash-partitioned on ``v`` by
+    * ``part``.
     *
-    * @param fanoutCap if set, each node keeps at most this many
-    *                  (hash-chosen) neighbours — ShaDow-GNN's bounded-scope
-    *                  ego-graph approximation
+    * @param fanoutCap if set, each ``u`` keeps at most this many neighbours,
+    *                  the least by ``(bucket(seed, u, v), v)`` — ShaDow-GNN's
+    *                  bounded-scope ego-graph approximation
     */
-  def adjacency(g: KG, fanoutCap: Option[Int] = None, seed: Int = 11): DataFrame = {
-    // no edge has a null end; coalesce says so in the schema, so hop tables
-    // (keyed by u) have the feature table's non-null id and every hop runs
-    // the same generated code
-    val und = g.undirected.select(coalesce(col("u"), lit(-1L)) as "u", coalesce(col("v"), lit(-1L)) as "v")
+  def adjacency(g: KG, part: Partitioner, fanoutCap: Option[Int] = None, seed: Int = 11): RDD[(Long, Long)] = {
+    // each triple gives both directions, so these pairs read as (v, u) or (u, v)
+    val und = g.triples.select(col("s"), col("o")).queryExecution.toRdd
+      .flatMap { r => val (s, o) = (r.getLong(0), r.getLong(1)); Iterator((s, o), (o, s)) }
     fanoutCap match {
       case Some(c) =>
-        val w = Window.partitionBy(col("u")).orderBy(KG.hashRand(seed, col("u"), col("v")), col("v"))
-        und.withColumn("rk", row_number().over(w)).filter(col("rk") <= c).select(col("u"), col("v"))
-      case None => und
+        und.groupByKey(part).flatMap { case (u, vs) =>
+          vs.toArray.sortBy(v => (KG.bucket(seed, u, v), v)).iterator.take(c).map(v => (v, u))
+        }.partitionBy(part)
+      case None => und.partitionBy(part)
     }
   }
 
-  /** One hop: for every node ``u`` with a neighbour in ``prev``, the mean of
-    * its neighbours' rows of ``prev`` (``id`` plus feature columns). Output
-    * has ``prev``'s columns; nodes with no neighbours have no row.
-    */
-  def hop(adj: DataFrame, prev: DataFrame): DataFrame = {
-    val fs = prev.columns.filter(_ != "id").toSeq
-    adj.join(prev.withColumnRenamed("id", "v"), "v")
-      .groupBy(col("u") as "id")
-      .agg(avg(fs.head) as fs.head, fs.tail.map(c => avg(c) as c): _*)
+  /** ``feats`` (``id, f*``) as vectors under ``part``. */
+  def vectors(feats: DataFrame, part: Partitioner): Vectors = {
+    val fs = feats.columns.filter(_ != "id").map(c => col(c).cast(DoubleType)).toSeq
+    val d = fs.size
+    feats.select(col("id") +: fs: _*).queryExecution.toRdd
+      .map(r => (r.getLong(0), Array.tabulate(d)(j => r.getDouble(j + 1))))
+      .partitionBy(part)
   }
 
-  /** Hop tables ``h0 = feats, h1 .. hL`` over adjacency ``adj``, each
-    * ``(id, f*)``; every ``hk`` (k ≥ 1) is materialised before the next
-    * hop reads it, so no hop query nests another.
+  /** Hops ``h0 = feats, h1 .. hL`` over ``adj`` (as made by [[adjacency]]):
+    * ``hk(u)`` is the mean of ``h(k-1)(v)`` over the pairs ``(v, u)``, and a
+    * node with no such pair has no row. Each hop joins ``adj`` to the
+    * previous hop without a shuffle (both are partitioned by ``adj``'s
+    * partitioner) and sums per ``u`` into that partitioner: one shuffle.
     */
-  def hops(adj: DataFrame, feats: DataFrame, l: Int): Seq[DataFrame] =
-    (1 to l).scanLeft(feats)((prev, _) => hop(adj, prev).localCheckpoint())
+  def hops(adj: RDD[(Long, Long)], feats: Vectors, l: Int): Seq[Vectors] = {
+    val part = adj.partitioner.getOrElse(new HashPartitioner(adj.getNumPartitions))
+    (1 to l).scanLeft(feats) { (prev, _) =>
+      adj.join(prev, part).values.combineByKey[(Array[Double], Long)](
+        x => (x.clone(), 1L),
+        { case ((sum, n), x) => add(sum, x); (sum, n + 1) },
+        { case ((a, n), (b, m)) => add(a, b); (a, n + m) },
+        part,
+      ).mapValues { case (sum, n) => sum.map(_ / n.toDouble) }
+    }
+  }
+
+  private def add(into: Array[Double], x: Array[Double]): Unit = {
+    var j = 0
+    while (j < into.length) { into(j) += x(j); j += 1 }
+  }
 
   /** Aggregate ``feats`` (``id, f0..f{F-1}``) over ``g`` for ``L`` hops.
     * Returns ``(id, f*, h1_*, .., hL_*)`` for every node of ``feats``;
@@ -61,9 +83,17 @@ object Aggregation {
     */
   def aggregate(g: KG, feats: DataFrame, l: Int,
                 fanoutCap: Option[Int] = None, seed: Int = 11): DataFrame = {
+    val spark = feats.sparkSession
+    val part = new HashPartitioner(spark.sparkContext.defaultParallelism)
     val fs = feats.columns.filter(_ != "id").toSeq
-    hops(adjacency(g, fanoutCap, seed), feats, l).zipWithIndex.tail.foldLeft(feats) { case (wide, (h, k)) =>
-      wide.join(h.select(col("id") +: fs.map(c => col(c) as s"h${k}_$c"): _*), Seq("id"), "left")
-    }.na.fill(0.0)
+    val d = fs.size
+    val h0 = vectors(feats, part)
+    val wide = hops(adjacency(g, part, fanoutCap, seed), h0, l).tail.foldLeft(h0) { (acc, h) =>
+      acc.leftOuterJoin(h).mapValues { case (a, b) => a ++ b.getOrElse(new Array[Double](d)) }
+    }
+    val names = fs ++ (1 to l).flatMap(k => fs.map(c => s"h${k}_$c"))
+    val schema = StructType(StructField("id", LongType, nullable = false) +:
+      names.map(StructField(_, DoubleType, nullable = false)))
+    spark.createDataFrame(wide.map { case (id, x) => Row.fromSeq(id +: x.toSeq) }, schema)
   }
 }

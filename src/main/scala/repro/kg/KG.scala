@@ -4,6 +4,7 @@ import scala.collection.mutable
 
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
+import org.apache.spark.unsafe.hash.Murmur3_x86_32
 
 /** Summary statistics of a KG — the quantities reported in Table I. */
 final case class KGStats(nodes: Long, edges: Long, nTypes: Long, eTypes: Long)
@@ -100,6 +101,21 @@ object KG {
     * the uniform draw is.
     */
   def hashBucket(salt: Column, cols: Column*): Column = pmod(hash((cols :+ salt): _*), lit(HashBuckets))
+
+  /** [[hashBucket]] of a salt and one long column, computed in plain Scala
+    * (on the driver or in an RDD closure): Spark's ``hash`` is Murmur3 x86_32
+    * with seed 42 folded over the columns in order, the salt (an int) last,
+    * so this equals the Column's bucket bit for bit.
+    */
+  def bucket(salt: Int, a: Long): Int = finish(salt, Murmur3_x86_32.hashLong(a, HashSeed))
+
+  /** [[bucket]] of a salt and two long columns, in that order. */
+  def bucket(salt: Int, a: Long, b: Long): Int =
+    finish(salt, Murmur3_x86_32.hashLong(b, Murmur3_x86_32.hashLong(a, HashSeed)))
+
+  private def finish(salt: Int, h: Int): Int = Math.floorMod(Murmur3_x86_32.hashInt(salt, h), HashBuckets)
+
+  private val HashSeed = 42
 
   /** [[hashRand]] of a collected [[hashBucket]] value, on the driver: the
     * same IEEE operations Spark runs, so a driver-side comparison decides

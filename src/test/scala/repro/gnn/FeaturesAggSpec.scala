@@ -1,7 +1,9 @@
 package repro.gnn
 
+import org.apache.spark.{HashPartitioner, ShuffleDependency}
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.plans.logical.Join
-import org.apache.spark.sql.execution.LogicalRDD
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, TestKGs}
@@ -10,6 +12,18 @@ import repro.kg.KG
 class FeaturesAggSpec extends SparkSpec {
 
   import spark.implicits._
+
+  private def part = new HashPartitioner(spark.sparkContext.defaultParallelism)
+
+  /** A hop of two-wide vectors as a ``(id, f0, f1)`` table. */
+  private def table(h: Aggregation.Vectors): DataFrame = h.map { case (id, x) => (id, x(0), x(1)) }.toDF("id", "f0", "f1")
+
+  /** Two oracle-friendly features: the planted ones sit on a 1e-6 grid, so
+    * their means often tie at the oracle's 6-decimal rounding and one ulp of
+    * summation order flips the printed digit.
+    */
+  private def oracleFeats(kg: KG): DataFrame =
+    kg.nodeTypes.select(col("id"), (col("id") % 7).cast("double") as "f0", sqrt(col("id").cast("double")) as "f1")
 
   test("feature width equals the community count") {
     val f = Features.nodeFeatures(TestKGs.mag)
@@ -95,12 +109,8 @@ class FeaturesAggSpec extends SparkSpec {
 
   test("hop tables equal DuckDB's neighbour AVG over the undirected adjacency (oracle)") {
     val kg = TestKGs.yago3
-    // the kernel does not care what the features are; the planted ones sit
-    // on a 1e-6 grid, so their means often tie at the oracle's 6-decimal
-    // rounding and one ulp of summation order flips the printed digit
-    val feats = kg.nodeTypes.select(col("id"), (col("id") % 7).cast("double") as "f0",
-      sqrt(col("id").cast("double")) as "f1")
-    val hs = Aggregation.hops(kg.undirected, feats, l = 2)
+    val feats = oracleFeats(kg)
+    val hs = Aggregation.hops(Aggregation.adjacency(kg, part), Aggregation.vectors(feats, part), l = 2).map(table)
     // duplicate edges count once per copy; a node with no neighbours has no row
     val adj = """adj AS (SELECT CAST(s AS BIGINT) AS u, CAST(o AS BIGINT) AS v FROM triples
                 |        UNION ALL SELECT CAST(o AS BIGINT), CAST(s AS BIGINT) FROM triples),
@@ -113,16 +123,38 @@ class FeaturesAggSpec extends SparkSpec {
       tables: _*)
   }
 
-  test("each hop is one join over materialised tables, with no nested join") {
+  test("the fanout-capped hop 1 equals DuckDB's AVG over each node's least-hash neighbours (oracle)") {
     val kg = TestKGs.yago3
-    val adj = kg.undirected.localCheckpoint()
-    val hs = Aggregation.hops(adj, Features.nodeFeatures(kg).localCheckpoint(), l = 2)
-    assert(hs.forall(_.queryExecution.logical.isInstanceOf[LogicalRDD]))
-    for (prev <- hs.init) {
-      val plan = Aggregation.hop(adj, prev).queryExecution.optimizedPlan
-      assert(plan.collect { case j: Join => j }.size == 1, plan.treeString)
-      assert(plan.collectLeaves().forall(_.isInstanceOf[LogicalRDD]), plan.treeString)
-    }
+    val (cap, seed) = (2, 11)
+    val feats = oracleFeats(kg)
+    val h1 = Aggregation.hops(Aggregation.adjacency(kg, part, Some(cap), seed), Aggregation.vectors(feats, part), l = 1)(1)
+    // the draw comes from the Column hashBucket; DuckDB ranks by it
+    val und = kg.undirected.select(col("u"), col("v"), KG.hashBucket(lit(seed), col("u"), col("v")) as "r")
+    Oracle.assertEquivalent(table(h1),
+      s"""WITH ranked AS (SELECT CAST(u AS BIGINT) AS u, CAST(v AS BIGINT) AS v,
+         |                  ROW_NUMBER() OVER (PARTITION BY CAST(u AS BIGINT) ORDER BY CAST(r AS INT), CAST(v AS BIGINT)) AS rk
+         |                  FROM und),
+         |h0 AS (SELECT CAST(id AS BIGINT) AS id, CAST(f0 AS DOUBLE) AS f0, CAST(f1 AS DOUBLE) AS f1 FROM feats)
+         |SELECT a.u AS id, AVG(h0.f0) AS f0, AVG(h0.f1) AS f1
+         |FROM ranked a JOIN h0 ON a.v = h0.id WHERE a.rk <= $cap GROUP BY a.u""".stripMargin,
+      "und" -> und, "feats" -> feats)
+  }
+
+  test("L hops over a partitioned adjacency and features run L shuffles") {
+    val kg = TestKGs.yago3
+    val adj = Aggregation.adjacency(kg, part).persist()
+    val feats = Aggregation.vectors(Features.nodeFeatures(kg), part).persist()
+    // the shuffles between hop k and the two inputs, in the RDD lineage
+    def shuffles(rdd: RDD[_]): Set[Int] =
+      if (rdd.id == adj.id || rdd.id == feats.id) Set.empty
+      else rdd.dependencies.flatMap {
+        case s: ShuffleDependency[_, _, _] => shuffles(s.rdd) + s.shuffleId
+        case d                             => shuffles(d.rdd)
+      }.toSet
+    val hs = Aggregation.hops(adj, feats, l = 3)
+    assert(hs.map(shuffles(_).size) == Seq(0, 1, 2, 3))
+    assert(hs.forall(_.partitioner.contains(part)))
+    adj.unpersist(); feats.unpersist()
   }
 
   test("node features are one projection of the node-type table, with no join") {

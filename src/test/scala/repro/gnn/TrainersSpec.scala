@@ -1,13 +1,18 @@
 package repro.gnn
 
 import org.apache.spark.metrics.source.CodegenMetrics
+import org.apache.spark.sql.functions._
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 
 import repro.{SparkSpec, TestKGs}
+import repro.kg.KG
 import repro.synth.Tasks
 
 class TrainersSpec extends SparkSpec {
 
   private val fast = TrainParams(epochs = 25, batches = 3, rootsPerBatch = 120)
+  private val cc = repro.synth.NCTask("CC", "YAGO3-10", "Person", 5, repro.synth.RandomSplit, (0.8, 0.1, 0.1))
 
   test("SeHGNN on DBLP-lite PV beats the majority-class baseline clearly") {
     val r = Trainers.train("SeHGNN", TestKGs.dblp, Tasks.PV_DBLP, fast)
@@ -63,6 +68,58 @@ class TrainersSpec extends SparkSpec {
     val r = Trainers.train("ShaDowSAINT", TestKGs.yago3, repro.synth.NCTask(
       "CC", "YAGO3-10", "Person", 5, repro.synth.RandomSplit, (0.8, 0.1, 0.1)), fast)
     assert(r.accuracy >= 0.0 && r.accuracy <= 1.0)
+  }
+
+  test("the softmax head reports a finite training loss below chance's ln(labels)") {
+    val r = Trainers.train("SeHGNN", TestKGs.dblp, Tasks.PV_DBLP, fast)
+    assert(!r.headLoss.isNaN && !r.headLoss.isInfinite, s"${r.headLoss}")
+    assert(r.headLoss < math.log(Tasks.PV_DBLP.numLabels), s"${r.headLoss}")
+  }
+
+  test("per-seed accuracies and batch sizes equal the values pinned from the SQL hop tables") {
+    // (graph, method, seed) -> (accuracy, trainExamples), as the previous
+    // DataFrame kernel computed them
+    val pinned = Seq(
+      ("yago3", "GraphSAINT", 7, 0.55, 247L), ("yago3", "GraphSAINT", 8, 0.5, 248L),
+      ("yago3", "GraphSAINT", 9, 0.65, 224L),
+      ("yago3", "SeHGNN", 7, 0.7, 208L), ("yago3", "SeHGNN", 8, 0.7, 208L), ("yago3", "SeHGNN", 9, 0.7, 208L),
+      ("dblp", "GraphSAINT", 7, 0.803030303030303, 254L), ("dblp", "GraphSAINT", 8, 0.7424242424242424, 251L),
+      ("dblp", "GraphSAINT", 9, 0.7727272727272727, 257L),
+      ("dblp", "SeHGNN", 7, 0.9848484848484849, 474L), ("dblp", "SeHGNN", 8, 0.9848484848484849, 474L),
+      ("dblp", "SeHGNN", 9, 0.9848484848484849, 474L))
+    for ((graph, method, seed, acc, examples) <- pinned) {
+      val (kg, task) = if (graph == "yago3") (TestKGs.yago3, cc) else (TestKGs.dblp, Tasks.PV_DBLP)
+      val r = Trainers.train(method, kg, task, fast.copy(seed = seed))
+      assert((r.accuracy, r.trainExamples) == (acc, examples), s"$graph $method seed $seed")
+    }
+  }
+
+  test("a one-batch GraphSAINT call runs at most 12 Spark jobs") {
+    val kg = TestKGs.yago3 // built outside the job group
+    val sc = spark.sparkContext
+    sc.setJobGroup("saint-train", "Trainers.train")
+    try Trainers.train("GraphSAINT", kg, cc, fast.copy(batches = 1, l = 2, walkLen = 2))
+    finally sc.clearJobGroup()
+    // the status tracker hears of jobs in order: once it has seen a later
+    // job, it has seen every job of the call
+    sc.setJobGroup("saint-train-after", "marker")
+    try sc.parallelize(Seq(1), 1).count()
+    finally sc.clearJobGroup()
+    eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup("saint-train-after").nonEmpty))
+    val jobs = sc.statusTracker.getJobIdsForGroup("saint-train").length
+    assert(jobs <= 12, s"$jobs jobs")
+  }
+
+  test("a failing call frees every RDD it persisted") {
+    val kg = TestKGs.yago3
+    // inference reads this graph's edges after training holds g's tables
+    val poisoned = KG(kg.schema,
+      kg.triples.select(col("s"), col("p"), raise_error(lit("poisoned edge")).cast("long") as "o"), kg.nodeTypes)
+    val sc = spark.sparkContext
+    val before = sc.getPersistentRDDs.size
+    val e = intercept[Exception](Trainers.train("GraphSAINT", kg, cc, fast, evalGraph = Some(poisoned)))
+    assert(e.getMessage.contains("poisoned edge"), e.getMessage)
+    assert(sc.getPersistentRDDs.size == before)
   }
 
   test("unknown methods are rejected") {

@@ -88,6 +88,20 @@ class KGSuite extends SparkSpec {
     rows.foreach(r => assert(KG.uniform(r.getInt(0)) == r.getDouble(1), s"bucket ${r.getInt(0)}"))
   }
 
+  test("the driver bucket is the Column hashBucket, bit for bit") {
+    // (long, long, int) and (long, int) rows over negative, large and small ids
+    val rows = spark.range(20000)
+      .select(col("id") * 2654435761L - lit(1L << 40) as "a", col("id") % 97 - 48 as "b", (col("id") % 5000).cast("int") as "salt")
+      .select(col("a"), col("b"), col("salt"),
+        KG.hashBucket(col("salt"), col("a"), col("b")), KG.hashBucket(col("salt"), col("a")))
+      .collect()
+    rows.foreach { r =>
+      val (a, b, salt) = (r.getLong(0), r.getLong(1), r.getInt(2))
+      assert(KG.bucket(salt, a, b) == r.getInt(3), s"($a, $b, $salt)")
+      assert(KG.bucket(salt, a) == r.getInt(4), s"($a, $salt)")
+    }
+  }
+
   test("an RDD shuffle over a pair of primitives runs (Kryo on Java 17)") {
     val pairs = spark.sparkContext.parallelize(0L until 1000L, 4).map(i => (i % 7, (i % 3).toInt))
     assert(pairs.sortByKey().keys.collect().sorted.sameElements((0L until 1000L).map(_ % 7).sorted))
