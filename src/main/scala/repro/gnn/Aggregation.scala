@@ -9,9 +9,10 @@ import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType
 import repro.kg.KG
 
 /** Spark-side message passing: L rounds of mean aggregation of neighbour
-  * features over the undirected view. This is the computation whose cost
-  * scales with |V|+|E| in every HGNN method; the trainers decouple it from
-  * the classifier head exactly as SeHGNN does (aggregate once, then train).
+  * features over the undirected adjacency ([[KG.adjacency]]). This is the
+  * computation whose cost scales with |V|+|E| in every HGNN method; the
+  * trainers decouple it from the classifier head exactly as SeHGNN does
+  * (aggregate once, then train).
   *
   * The aggregation is relation-blind: every edge counts the same whatever
   * its predicate. It runs on RDDs, which generate no code: the adjacency is
@@ -24,26 +25,19 @@ object Aggregation {
   /** Node vectors keyed by node id. */
   type Vectors = RDD[(Long, Array[Double])]
 
-  /** Undirected adjacency of ``g`` as ``(v, u)`` pairs (a message from
-    * ``v`` to ``u``; duplicate edges kept), hash-partitioned on ``v`` by
-    * ``part``.
+  /** [[KG.adjacency]] of ``g`` under ``part``.
     *
     * @param fanoutCap if set, each ``u`` keeps at most this many neighbours,
     *                  the least by ``(bucket(seed, u, v), v)`` — ShaDow-GNN's
     *                  bounded-scope ego-graph approximation
     */
-  def adjacency(g: KG, part: Partitioner, fanoutCap: Option[Int] = None, seed: Int = 11): RDD[(Long, Long)] = {
-    // each triple gives both directions, so these pairs read as (v, u) or (u, v)
-    val und = g.triples.select(col("s"), col("o")).queryExecution.toRdd
-      .flatMap { r => val (s, o) = (r.getLong(0), r.getLong(1)); Iterator((s, o), (o, s)) }
-    fanoutCap match {
-      case Some(c) =>
-        und.groupByKey(part).flatMap { case (u, vs) =>
-          vs.toArray.sortBy(v => (KG.bucket(seed, u, v), v)).iterator.take(c).map(v => (v, u))
-        }.partitionBy(part)
-      case None => und.partitionBy(part)
+  def adjacency(g: KG, part: Partitioner, fanoutCap: Option[Int] = None, seed: Int = 11): RDD[(Long, Long)] =
+    fanoutCap.fold(g.adjacency(part)) { c =>
+      // the pairs are symmetric, so the pairs keyed by u list u's neighbours
+      g.adjacency(part).groupByKey(part).flatMap { case (u, vs) =>
+        vs.toArray.sortBy(v => (KG.bucket(seed, u, v), v)).iterator.take(c).map(v => (v, u))
+      }.partitionBy(part)
     }
-  }
 
   /** ``feats`` (``id, f*``) as vectors under ``part``. */
   def vectors(feats: DataFrame, part: Partitioner): Vectors = {

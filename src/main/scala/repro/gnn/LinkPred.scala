@@ -169,12 +169,15 @@ object LinkPred {
         val s = index(sRaw)
         val o = index(oRaw)
         val sTrue = score(s, pIdx, o)
+        // c outranks o unless its score is >= a finite sTrue: a NaN comparison
+        // counts against the true object, and a non-finite sTrue ranks it last
+        val finite = sTrue.isFinite
         var better = 0
         var betterFiltered = 0
         var i = 0
         while (i < candidates.length) {
           val c = candidates(i)
-          if (c != o && score(s, pIdx, c) < sTrue) {
+          if (c != o && !(finite && score(s, pIdx, c) >= sTrue)) {
             better += 1
             if (!known(pair(s, c))) betterFiltered += 1
           }

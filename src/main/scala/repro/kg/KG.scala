@@ -2,6 +2,8 @@ package repro.kg
 
 import scala.collection.mutable
 
+import org.apache.spark.{HashPartitioner, Partitioner}
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.functions._
 import org.apache.spark.unsafe.hash.Murmur3_x86_32
@@ -49,12 +51,17 @@ final case class KG(schema: KGSchema, triples: DataFrame, nodeTypes: DataFrame) 
     KGStats(n.values.sum, e.values.sum, n.size.toLong, e.size.toLong)
   }
 
-  /** Undirected adjacency view ``(u, v)`` — each triple contributes both
-    * directions; used by random walks, BFS distance and entropy metrics.
+  /** The undirected adjacency as ``(v, u)`` pairs (a message from ``v`` to
+    * ``u``): each triple gives both directions and duplicate edges are kept,
+    * hash-partitioned on ``v`` by ``part``. The one graph structure of the
+    * walks, PPR, BFS, the entropy metric and the GNN's message passing; the
+    * pair set is symmetric, so a pair reads as ``(u, v)`` as well.
     */
-  def undirected: DataFrame =
-    triples.select(explode(array(struct(col("s") as "u", col("o") as "v"), struct(col("o") as "u", col("s") as "v"))) as "e")
-      .select(col("e.u") as "u", col("e.v") as "v")
+  def adjacency(part: Partitioner = new HashPartitioner(triples.sparkSession.sparkContext.defaultParallelism))
+      : RDD[(Long, Long)] =
+    triples.select(col("s"), col("o")).queryExecution.toRdd
+      .flatMap { r => val (s, o) = (r.getLong(0), r.getLong(1)); Iterator((s, o), (o, s)) }
+      .partitionBy(part)
 
   /** Node ids of one node type (by name) as a single-column DF ``id``. */
   def nodesOfType(typeName: String): DataFrame =
@@ -68,6 +75,9 @@ object KG {
     */
   def resident(df: DataFrame): DataFrame =
     df.coalesce(df.sparkSession.sparkContext.defaultParallelism).localCheckpoint(true)
+
+  /** The ``id`` column of ``df`` as an RDD. */
+  def ids(df: DataFrame): RDD[Long] = df.select(col("id")).queryExecution.toRdd.map(_.getLong(0))
 
   /** Rows of ``df`` per value of its int column ``c``: one map entry per
     * value (per type, for a type column), counted in each partition and

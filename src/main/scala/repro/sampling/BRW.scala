@@ -19,9 +19,6 @@ object BRW {
     *
     * @param targets ``V_T`` as a single-column ``id`` DF
     */
-  def sample(kg: KG, targets: DataFrame, bs: Int, h: Int, seed: Int): KG = {
-    val vInitial = RandomWalk.sampleIds(targets, bs, seed)
-    val vs = RandomWalk.visited(kg.undirected, vInitial, h, seed)
-    Induce.extractSubgraph(kg, vs)
-  }
+  def sample(kg: KG, targets: DataFrame, bs: Int, h: Int, seed: Int): KG =
+    Induce.extractSubgraph(kg, RandomWalk.visited(kg.adjacency(), RandomWalk.sampleIds(KG.ids(targets), bs, seed), h, seed))
 }

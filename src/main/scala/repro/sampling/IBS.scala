@@ -1,8 +1,9 @@
 package repro.sampling
 
+import scala.collection.mutable.ArrayBuffer
+
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 
 import repro.kg.KG
 
@@ -24,61 +25,65 @@ object IBS {
     */
   private val HopCap = 64
 
+  /** A candidate row of a target: neighbour ``nbr`` with its influence, and
+    * ``via``, the hop-1 node that connects it back to the target (``nbr``
+    * itself on hop 1), so the induced subgraph keeps every selected node
+    * reachable from V_T.
+    */
+  private final case class Cand(score: Double, nbr: Long, via: Long)
+
+  /** Rank order: score descending, then ``nbr``, then ``via`` descending
+    * (rows equal up to ``via`` differ only in the via they would keep).
+    */
+  private val Ranking: Ordering[Cand] = Ordering.by((c: Cand) => (-c.score, c.nbr, -c.via))(
+    Ordering.Tuple3(Ordering.Double.TotalOrdering, Ordering.Long, Ordering.Long))
+
   /** ``IBS(KG, A, bs, k)``: sample ``bs`` targets, PPR-score the graph,
     * keep each target's top-``k`` influential ≤2-hop neighbours, induce.
+    * Returns the subgraph materialised; it frees everything else it
+    * persisted.
     */
   def sample(kg: KG, targets: DataFrame, bs: Int, k: Int,
              alpha: Double = 0.25, seed: Int = 0): KG = {
-    val roots = RandomWalk.sampleIds(targets, bs, seed).cache()
-    roots.count()
-    val inf = PPR.scores(kg, roots, alpha).cache()
-    val adj = kg.undirected.cache()
-
-    // hop-1 pairs (target, nbr), influence-capped per target. ``via`` tracks
-    // the hop-1 node that connects a selected hop-2 node back to its target,
-    // so the induced subgraph keeps every selected node reachable from V_T.
-    val byInf = Window.partitionBy(col("t")).orderBy(col("score").desc, col("nbr"))
-    val hop1 = roots
-      .join(adj, roots("id") === adj("u"))
-      .select(col("id") as "t", col("v") as "nbr")
-      .join(inf.withColumnRenamed("id", "nbr"), Seq("nbr"), "left")
-      .na.fill(0.0, Seq("score"))
-      .withColumn("rk", row_number().over(byInf))
-      .filter(col("rk") <= HopCap)
-      .select(col("t"), col("nbr"), col("nbr") as "via", col("score"))
-      .cache() // reused by the hop-2 expansion and the top-k union
-
-    // hop-2 pairs expanded from the capped hop-1 frontier
-    val hop2 = hop1
-      .select(col("t"), col("nbr") as "mid")
-      .join(adj, col("mid") === adj("u"))
-      .select(col("t"), col("v") as "nbr", col("mid") as "via")
-      .join(inf.withColumnRenamed("id", "nbr"), Seq("nbr"), "left")
-      .na.fill(0.0, Seq("score"))
-      .withColumn("rk", row_number().over(byInf))
-      .filter(col("rk") <= HopCap)
-      .select(col("t"), col("nbr"), col("via"), col("score"))
-
-    // SelectTopK-Nodes: per-target top-k by influence over both hops
-    val topk = hop1.union(hop2)
-      .groupBy(col("t"), col("nbr")).agg(max(struct(col("score"), col("via"))) as "m")
-      .select(col("t"), col("nbr"), col("m.via") as "via", col("m.score") as "score")
-      .withColumn("rk", row_number().over(byInf))
-      .filter(col("rk") <= k)
-      .cache() // read twice: nbr and via projections
-
-    val vs = roots.select(col("id"))
-      .union(topk.select(col("nbr") as "id"))
-      .union(topk.select(col("via") as "id"))
-      .distinct()
-    val out0 = Induce.extractSubgraph(kg, vs)
-    // materialise + flatten before unpersisting the inputs it derives from
-    val out = out0.cached()
-    roots.unpersist(); inf.unpersist(); adj.unpersist()
-    out
+    val roots = RandomWalk.sampleIds(KG.ids(targets), bs, seed)
+    val held = ArrayBuffer.empty[RDD[_]]
+    def keep[T](rdd: RDD[T]): RDD[T] = { held += rdd; rdd.persist() }
+    val vs = try {
+      val adj = keep(kg.adjacency())
+      val inf = keep(PPR.scores(adj, roots, alpha, iters = 8))
+      // hop-1 rows, capped per target; then hop-2 rows from the kept hop-1 rows
+      val hop1 = capped(adj, inf, roots.map(t => t -> Seq(t)).toMap, HopCap)
+        .map { case (t, cs) => t -> cs.map(c => c.copy(via = c.nbr)) }
+      val mids = hop1.toSeq.flatMap { case (t, cs) => cs.map(_.nbr -> t) }.groupMap(_._1)(_._2)
+      val hop2 = capped(adj, inf, mids, HopCap)
+      // SelectTopK-Nodes: per target and neighbour the row with the max
+      // (score, via) (the score is the neighbour's), then the top k
+      roots ++ hop1.keys.flatMap { t =>
+        (hop1(t) ++ hop2.getOrElse(t, Array.empty[Cand])).groupBy(_.nbr).values.map(_.maxBy(_.via))
+          .toArray.sorted(Ranking).take(k).flatMap(c => Seq(c.nbr, c.via))
+      }
+    } finally held.foreach(_.unpersist(blocking = false))
+    Induce.extractSubgraph(kg, vs).cached()
   }
 
-  /** Expose the influence scores for tests. */
-  def influenceScores(kg: KG, targets: DataFrame, bs: Int, alpha: Double, seed: Int): DataFrame =
-    PPR.scores(kg, RandomWalk.sampleIds(targets, bs, seed), alpha)
+  /** Per target ``t``, its first ``cap`` rows in [[Ranking]] (duplicates
+    * count), collected: each pair ``(n, x)`` of ``adj`` with ``x`` a key of
+    * ``from`` gives the row ``(score(n), n, via = x)`` to each target of
+    * ``from(x)``, once per listing. The adjacency is symmetric, so keying the
+    * rows by ``n`` joins the scores without a shuffle; the selection keeps at
+    * most ``2 · cap`` rows per target and partition.
+    */
+  private def capped(adj: RDD[(Long, Long)], inf: RDD[(Long, Double)], from: Map[Long, Seq[Long]],
+                     cap: Int): Map[Long, Array[Cand]] = {
+    val (b, rank) = (adj.sparkContext.broadcast(from), Ranking) // the closures capture no IBS
+    def trim(rows: ArrayBuffer[Cand]): ArrayBuffer[Cand] =
+      if (rows.length < 2 * cap) rows
+      else { val kept = rows.sorted(rank).take(cap); rows.clear(); rows ++= kept }
+    adj.filter { case (_, x) => b.value.contains(x) }
+      .leftOuterJoin(inf)
+      .flatMap { case (n, (x, s)) => b.value(x).iterator.map(t => (t, Cand(s.getOrElse(0.0), n, x))) }
+      .aggregateByKey(ArrayBuffer.empty[Cand])((rows, c) => trim(rows += c), (a, c) => trim(a ++= c))
+      .mapValues(_.sorted(rank).take(cap).toArray)
+      .collect().toMap
+  }
 }

@@ -1,12 +1,14 @@
 package repro.sampling
 
+import scala.collection.mutable
+
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.kg.KG
 
-/** Personalized PageRank via power iteration on the undirected,
-  * degree-normalised adjacency, with teleport mass spread uniformly over a
+/** Personalized PageRank via power iteration on the degree-normalised
+  * adjacency (each edge both ways), with teleport mass spread uniformly over a
   * seed set (the task's target vertices). Stands in for the
   * push-based approximate PPR of Andersen et al. used by IBS — the scores
   * it induces over h-hop neighbourhoods rank nodes identically in the
@@ -14,44 +16,47 @@ import repro.kg.KG
   */
 object PPR {
 
-  /** PPR scores ``(id, score)`` personalised to ``seeds``.
+  /** PPR scores ``(id, score)`` personalised to the distinct ``roots``, over
+    * ``adj`` (as made by [[KG.adjacency]]) and partitioned as it is. With
+    * ``t = 1 / |roots|``, ``π0`` is ``t`` on each root, and each iteration
+    * gives ``π'(v) = (1 − α) Σ π(u) / deg(u)`` over the pairs ``(u, v)``, plus
+    * ``α t`` on each root. ``π / deg`` joins ``adj`` without a shuffle, and
+    * the sum per ``v`` is one shuffle into ``adj``'s partitioner; the
+    * teleport mass comes from the broadcast roots. Lazy: the chain runs as
+    * one job when the caller acts on the result.
     *
     * @param alpha teleport probability (paper uses 0.1–0.25)
-    * @param iters power iterations (each costs one join+aggregate job)
+    * @param iters power iterations (each costs one shuffle)
+    */
+  def scores(adj: RDD[(Long, Long)], roots: Array[Long], alpha: Double, iters: Int): RDD[(Long, Double)] = {
+    val part = adj.partitioner.get
+    val sorted = roots.distinct.sorted
+    val t = 1.0 / math.max(1, sorted.length)
+    val seeds = adj.sparkContext.broadcast(sorted)
+    val deg = adj.mapValues(_ => 1L).reduceByKey(part, _ + _)
+    // each partition adds α t to its roots: to their walk mass, or alone
+    def teleport(walk: RDD[(Long, Double)]): RDD[(Long, Double)] = walk.mapPartitionsWithIndex({ (i, it) =>
+      val rs = seeds.value
+      val hit = new mutable.BitSet(rs.length)
+      it.map { case (v, inw) =>
+        val r = java.util.Arrays.binarySearch(rs, v)
+        if (r >= 0) { hit += r; (v, inw * (1.0 - alpha) + alpha * t) } else (v, inw * (1.0 - alpha))
+      } ++ rs.indices.iterator.filter(r => !hit(r) && part.getPartition(rs(r)) == i).map(r => (rs(r), alpha * t))
+    }, preservesPartitioning = true)
+    val pi0 = adj.sparkContext.parallelize(sorted.toSeq.map(_ -> t)).partitionBy(part)
+    (1 to iters).foldLeft(pi0) { (pi, _) =>
+      val spread = pi.join(deg).mapValues { case (s, d) => s / d }
+      teleport(adj.join(spread).values.reduceByKey(part, _ + _))
+    }
+  }
+
+  /** [[scores]] over ``kg``'s adjacency, personalised to the ids of
+    * ``seeds`` (a single-column ``id`` DF, collected: a root sample), as a
+    * lazy ``(id, score)`` DF that holds nothing persisted.
     */
   def scores(kg: KG, seeds: DataFrame, alpha: Double = 0.25, iters: Int = 8): DataFrame = {
-    val adj = kg.undirected.cache()
-    val deg = adj.groupBy(col("u")).agg(count(lit(1)) as "deg").cache()
-    val nSeeds = math.max(1L, seeds.count())
-    val teleport = seeds.select(col("id"), lit(1.0 / nSeeds) as "t").cache()
-    teleport.count()
-
-    // a fixed small iteration count keeps the lazy plan linear; the whole
-    // chain evaluates in one job when the caller first acts on the result
-    var pi = teleport.select(col("id"), col("t") as "score")
-    var it = 0
-    while (it < iters) {
-      it += 1
-      val spread = pi
-        .join(deg, pi("id") === deg("u"))
-        .select(col("u"), (col("score") / col("deg")) as "w")
-      val pushed = adj
-        .join(spread, "u")
-        .groupBy(col("v"))
-        .agg(sum(col("w")) as "inw")
-        .select(col("v") as "id", (col("inw") * (1.0 - alpha)) as "walkMass")
-      pi = pushed
-        .join(teleport, Seq("id"), "full_outer")
-        .select(
-          col("id"),
-          (coalesce(col("walkMass"), lit(0.0)) + lit(alpha) * coalesce(col("t"), lit(0.0))) as "score",
-        )
-      // lazy checkpoint per iteration: keeps every downstream analysis flat
-      // without spending a Spark job until the final materialisation
-      pi = pi.localCheckpoint(false)
-    }
-    val out = pi.localCheckpoint(true) // materialise + flatten for callers
-    adj.unpersist(); deg.unpersist(); teleport.unpersist()
-    out
+    val spark = seeds.sparkSession
+    import spark.implicits._
+    scores(kg.adjacency(), KG.ids(seeds).collect(), alpha, iters).toDF("id", "score")
   }
 }

@@ -4,7 +4,6 @@ import scala.collection.mutable
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
 
 import repro.kg.KG
 
@@ -12,10 +11,10 @@ import repro.kg.KG
   * BRW, over RDDs.
   *
   * Each root spawns one walker; every step each live walker moves to one
-  * uniformly-chosen neighbour on the undirected view (GraphSAINT's walk
-  * semantics). All randomness is hash-based ([[KG.bucket]], the twin of the
-  * Column ``KG.hashBucket``), so a walk is a pure function of (graph, roots,
-  * h, seed), whatever the partitioning.
+  * uniformly-chosen neighbour on [[KG.adjacency]], each edge both ways
+  * (GraphSAINT's walk semantics). All randomness is hash-based
+  * ([[KG.bucket]], the twin of the Column ``KG.hashBucket``), so a walk is a
+  * pure function of (graph, roots, h, seed), whatever the partitioning.
   */
 object RandomWalk {
 
@@ -30,7 +29,7 @@ object RandomWalk {
   def sampleIds(ids: DataFrame, n: Int, seed: Int): DataFrame = {
     val spark = ids.sparkSession
     import spark.implicits._
-    sampleIds(ids.select(col("id")).queryExecution.toRdd.map(_.getLong(0)), n, seed).toSeq.toDF("id")
+    sampleIds(KG.ids(ids), n, seed).toSeq.toDF("id")
   }
 
   private val VBits = 40
@@ -70,16 +69,5 @@ object RandomWalk {
       seen ++= frontier.iterator.map(_._2)
     }
     seen.toArray.sorted
-  }
-
-  /** [[visited]] over an adjacency DF ``(u, v)`` and a roots DF ``id``, as a
-    * local ``id`` DF.
-    */
-  def visited(adj: DataFrame, roots: DataFrame, h: Int, seed: Int): DataFrame = {
-    val spark = roots.sparkSession
-    import spark.implicits._
-    val pairs = adj.select(col("v"), col("u")).queryExecution.toRdd.map(r => (r.getLong(0), r.getLong(1)))
-    val ids = roots.select(col("id")).queryExecution.toRdd.map(_.getLong(0)).collect()
-    visited(pairs, ids, h, seed).toSeq.toDF("id")
   }
 }

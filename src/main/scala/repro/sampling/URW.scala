@@ -13,18 +13,17 @@ object URW {
   /** Sample a subgraph: ``bs`` uniform roots, ``h``-step walks, induced
     * edges over the visited set.
     */
-  def sample(kg: KG, bs: Int, h: Int, seed: Int): KG = {
-    val roots = RandomWalk.sampleIds(kg.nodeTypes.select("id"), bs, seed)
-    val adj = kg.undirected
-    val vs = RandomWalk.visited(adj, roots, h, seed)
-    Induce.extractSubgraph(kg, vs)
-  }
+  def sample(kg: KG, bs: Int, h: Int, seed: Int): KG = Induce.extractSubgraph(kg, visited(kg, bs, h, seed))
 
   /** Visited node set only (no induction): the node set of a GraphSAINT
-    * mini-batch.
+    * mini-batch, as a local ``id`` DF.
     */
   def visitedSet(kg: KG, bs: Int, h: Int, seed: Int): DataFrame = {
-    val roots = RandomWalk.sampleIds(kg.nodeTypes.select("id"), bs, seed)
-    RandomWalk.visited(kg.undirected, roots, h, seed)
+    val spark = kg.triples.sparkSession
+    import spark.implicits._
+    visited(kg, bs, h, seed).toSeq.toDF("id")
   }
+
+  private def visited(kg: KG, bs: Int, h: Int, seed: Int): Array[Long] =
+    RandomWalk.visited(kg.adjacency(), RandomWalk.sampleIds(KG.ids(kg.nodeTypes), bs, seed), h, seed)
 }

@@ -128,8 +128,9 @@ class FeaturesAggSpec extends SparkSpec {
     val (cap, seed) = (2, 11)
     val feats = oracleFeats(kg)
     val h1 = Aggregation.hops(Aggregation.adjacency(kg, part, Some(cap), seed), Aggregation.vectors(feats, part), l = 1)(1)
-    // the draw comes from the Column hashBucket; DuckDB ranks by it
-    val und = kg.undirected.select(col("u"), col("v"), KG.hashBucket(lit(seed), col("u"), col("v")) as "r")
+    // each triple both ways, with the draw from the Column hashBucket; DuckDB ranks by it
+    val und = kg.triples.select(col("s") as "u", col("o") as "v").union(kg.triples.select(col("o") as "u", col("s") as "v"))
+      .select(col("u"), col("v"), KG.hashBucket(lit(seed), col("u"), col("v")) as "r")
     Oracle.assertEquivalent(table(h1),
       s"""WITH ranked AS (SELECT CAST(u AS BIGINT) AS u, CAST(v AS BIGINT) AS v,
          |                  ROW_NUMBER() OVER (PARTITION BY CAST(u AS BIGINT) ORDER BY CAST(r AS INT), CAST(v AS BIGINT)) AS rk

@@ -111,4 +111,11 @@ class LinkPredSpec extends SparkSpec {
     // a rank within 10 gives a reciprocal rank of at least 1/10
     assert(r.mrr >= r.hits10 / 10, s"MRR ${r.mrr} vs Hits@10 ${r.hits10}")
   }
+
+  test("a diverged LHGNN does not read as a perfect rank") {
+    // this step size drives the scores to NaN; a NaN comparison must count
+    // against the true object instead of ranking it first
+    val r = LinkPred.train(TestKGs.dblp, Tasks.AA_DBLP, "LHGNN", lr = 50.0)
+    assert(r.hits10 < 1.0, s"hits@10 ${r.hits10}")
+  }
 }

@@ -1,5 +1,6 @@
 package repro.kg
 
+import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.functions._
 
 import repro.{SparkSpec, TestKGs}
@@ -39,16 +40,19 @@ class KGSuite extends SparkSpec {
     assert((sc.getPersistentRDDs.keySet & held).isEmpty)
   }
 
-  test("undirected view doubles the edge count") {
-    assert(kg.undirected.count() == 2 * kg.triples.count())
+  test("adjacency holds two pairs per triple under the partitioner passed in") {
+    val part = new HashPartitioner(3)
+    val adj = kg.adjacency(part)
+    assert(adj.partitioner.contains(part))
+    assert(adj.count() == 2 * kg.triples.count())
   }
 
-  test("undirected view contains both directions of a triple") {
+  test("adjacency contains both directions of a triple") {
     val t = kg.triples.limit(1).collect().head
     val (s, o) = (t.getLong(0), t.getLong(2))
-    val und = kg.undirected
-    assert(und.filter(col("u") === s && col("v") === o).count() >= 1)
-    assert(und.filter(col("u") === o && col("v") === s).count() >= 1)
+    val adj = kg.adjacency()
+    assert(adj.filter(_ == ((s, o))).count() >= 1)
+    assert(adj.filter(_ == ((o, s))).count() >= 1)
   }
 
   test("nodesOfType returns exactly the type's range") {

@@ -2,8 +2,9 @@ package repro.metrics
 
 import org.apache.spark.sql.functions._
 
-import repro.{SparkSpec, TestKGs}
+import repro.{Oracle, SparkSpec, TestKGs}
 import repro.kg.KG
+import repro.sampling.{BRW, RandomWalk}
 
 class SubgraphQualitySpec extends SparkSpec {
 
@@ -86,5 +87,36 @@ class SubgraphQualitySpec extends SparkSpec {
     val full = SubgraphQuality.neighbourTypeEntropy(TestKGs.yago)
     assert(full > 0.0)
     assert(SubgraphQuality.neighbourTypeEntropy(urw) >= 0.0)
+  }
+
+  /** The undirected adjacency of a ``triples`` table, built in DuckDB. */
+  private val duckAdj =
+    """adj AS (SELECT CAST(s AS BIGINT) AS u, CAST(o AS BIGINT) AS v FROM triples
+      |        UNION ALL SELECT CAST(o AS BIGINT), CAST(s AS BIGINT) FROM triples)""".stripMargin
+
+  test("bfs distances equal DuckDB's recursive reachability on YAGO3-lite (oracle)") {
+    val kg = TestKGs.yago3
+    val roots = RandomWalk.sampleIds(kg.nodesOfType("Person"), 15, seed = 27)
+    for (h <- Seq(2, 10))
+      Oracle.assertEquivalent(SubgraphQuality.bfsDistances(kg, roots, maxHops = h),
+        s"""WITH RECURSIVE $duckAdj,
+           |reach(id, dist) AS (SELECT CAST(id AS BIGINT), 0 FROM roots
+           |  UNION SELECT a.v, r.dist + 1 FROM reach r JOIN adj a ON a.u = r.id WHERE r.dist < $h)
+           |SELECT id, MIN(dist) AS dist FROM reach GROUP BY id""".stripMargin,
+        "triples" -> kg.triples.select("s", "o"), "roots" -> roots)
+  }
+
+  test("neighbour-type entropy equals DuckDB's histogram of COUNT(DISTINCT ntype) (oracle)") {
+    val kg = TestKGs.yago3
+    val around = BRW.sample(kg, kg.nodesOfType("Person"), bs = 30, h = 2, seed = 28)
+    for (g <- Seq(kg, around))
+      Oracle.assertEquivalent(Seq(Tuple1(SubgraphQuality.neighbourTypeEntropy(g))).toDF("h"),
+        s"""WITH $duckAdj,
+           |per AS (SELECT a.u, COUNT(DISTINCT CAST(n.ntype AS INT)) AS cnt
+           |        FROM adj a JOIN nodes n ON a.v = CAST(n.id AS BIGINT) GROUP BY a.u),
+           |hist AS (SELECT cnt, CAST(COUNT(*) AS DOUBLE) AS freq FROM per GROUP BY cnt),
+           |tot AS (SELECT SUM(freq) AS n FROM hist)
+           |SELECT COALESCE(SUM(-(freq / n) * LN(freq / n) / LN(2)), 0.0) AS h FROM hist, tot""".stripMargin,
+        "triples" -> g.triples.select("s", "o"), "nodes" -> g.nodeTypes)
   }
 }

@@ -1,7 +1,9 @@
 package repro.sampling
 
+import scala.collection.mutable
+
 import org.apache.spark.metrics.source.CodegenMetrics
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{CachedTables, DataFrame}
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, TestKGs}
@@ -37,43 +39,45 @@ class SamplingSpec extends SparkSpec {
   }
 
   // ------------------------------------------------------------------ visited
+  private def rootIds(n: Int, seed: Int): Array[Long] = RandomWalk.sampleIds(KG.ids(targets), n, seed)
+
   test("visited always includes the roots") {
-    val roots = RandomWalk.sampleIds(targets, 20, 4)
-    val vs = RandomWalk.visited(kg.undirected, roots, h = 2, seed = 4)
-    assert(roots.join(vs, "id").count() == 20)
+    val roots = rootIds(20, 4)
+    val vs = RandomWalk.visited(kg.adjacency(), roots, h = 2, seed = 4)
+    assert(roots.forall(vs.contains))
   }
 
   test("visited is bounded by roots * (h + 1)") {
-    val roots = RandomWalk.sampleIds(targets, 20, 5)
-    val vs = RandomWalk.visited(kg.undirected, roots, h = 3, seed = 5)
-    assert(vs.count() <= 20L * 4)
+    val vs = RandomWalk.visited(kg.adjacency(), rootIds(20, 5), h = 3, seed = 5)
+    assert(vs.length <= 20 * 4)
   }
 
   test("visited nodes are within h hops of some root (BFS check)") {
-    val roots = RandomWalk.sampleIds(targets, 15, 6).cache()
+    import spark.implicits._
+    val roots = rootIds(15, 6)
     val h = 2
-    val vs = RandomWalk.visited(kg.undirected, roots, h, seed = 6)
-    val reach = SubgraphQuality.bfsDistances(kg, roots, maxHops = h)
-    assert(vs.join(reach, "id").count() == vs.count())
+    val vs = RandomWalk.visited(kg.adjacency(), roots, h, seed = 6)
+    val reach = SubgraphQuality.bfsDistances(kg, roots.toSeq.toDF("id"), maxHops = h)
+      .collect().map(_.getLong(0)).toSet
+    assert(vs.forall(reach))
   }
 
   test("walks on an edgeless graph return only the roots") {
     val empty = kg.triples.filter(lit(false))
     val lonely = KG(kg.schema, empty, kg.nodeTypes)
-    val roots = RandomWalk.sampleIds(targets, 10, 7)
-    val vs = RandomWalk.visited(lonely.undirected, roots, h = 3, seed = 7)
-    assert(vs.count() == 10)
+    val vs = RandomWalk.visited(lonely.adjacency(), rootIds(10, 7), h = 3, seed = 7)
+    assert(vs.length == 10)
   }
 
   test("visited is deterministic") {
-    val roots = RandomWalk.sampleIds(targets, 10, 8)
-    val a = RandomWalk.visited(kg.undirected, roots, 2, 8)
-    val b = RandomWalk.visited(kg.undirected, roots, 2, 8)
-    assert(a.exceptAll(b).count() == 0)
+    val roots = rootIds(10, 8)
+    val a = RandomWalk.visited(kg.adjacency(), roots, 2, 8)
+    val b = RandomWalk.visited(kg.adjacency(), roots, 2, 8)
+    assert(a.sameElements(b))
   }
 
   test("visited with a new seed compiles no new code") {
-    def walk(seed: Int): Unit = RandomWalk.visited(kg.undirected, RandomWalk.sampleIds(targets, 20, seed), 2, seed).collect()
+    def walk(seed: Int): Unit = RandomWalk.visited(kg.adjacency(), rootIds(20, seed), 2, seed)
     walk(21)
     val before = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
     walk(22)
@@ -81,14 +85,18 @@ class SamplingSpec extends SparkSpec {
   }
 
   test("sampleIds and visited equal a walk with literal salts (oracle)") {
-    // the queries of a walk that inlines every seed and step salt as a literal
+    // the queries of a walk that inlines every seed and step salt as a literal,
+    // over an undirected view built here: each triple as (u, v) and (v, u)
+    val und = kg.triples
+      .select(explode(array(struct(col("s") as "u", col("o") as "v"), struct(col("o") as "u", col("s") as "v"))) as "e")
+      .select(col("e.u") as "u", col("e.v") as "v")
     def literalSample(n: Int, seed: Int): DataFrame =
       targets.orderBy(KG.hashRand(seed, col("id")), col("id")).limit(n)
-    def literalWalk(adj: DataFrame, roots: DataFrame, h: Int, seed: Int): Set[Long] = {
+    def literalWalk(roots: DataFrame, h: Int, seed: Int): Set[Long] = {
       var frontier = roots.select(col("id") as "walker", col("id") as "cur")
       var acc = roots.select(col("id"))
       for (step <- 1 to h) {
-        frontier = frontier.join(adj, frontier("cur") === adj("u"))
+        frontier = frontier.join(und, frontier("cur") === und("u"))
           .select(col("walker"), col("v"), KG.hashRand(seed * 1000 + step, col("walker"), col("v")) as "r")
           .groupBy(col("walker"))
           .agg(min(struct(col("r"), col("v"))) as "m")
@@ -102,13 +110,14 @@ class SamplingSpec extends SparkSpec {
     for ((seed, h) <- Seq((31, 2), (32, 3))) {
       val roots = literalSample(25, seed).localCheckpoint()
       assert(ids(RandomWalk.sampleIds(targets, 25, seed)) == ids(roots))
-      assert(ids(RandomWalk.visited(kg.undirected, roots, h, seed)) == literalWalk(kg.undirected, roots, h, seed))
+      assert(RandomWalk.visited(kg.adjacency(), ids(roots).toArray, h, seed).toSet == literalWalk(roots, h, seed))
     }
   }
 
   // ------------------------------------------------------------------- induce
   test("induced subgraph keeps exactly the edges among sampled nodes (oracle)") {
-    val vs = RandomWalk.visited(kg.undirected, RandomWalk.sampleIds(targets, 30, 9), 2, 9).cache()
+    import spark.implicits._
+    val vs = RandomWalk.visited(kg.adjacency(), rootIds(30, 9), 2, 9).toSeq.toDF("id")
     val sub = Induce.extractSubgraph(kg, vs)
     Oracle.assertEquivalent(
       sub.triples,
@@ -200,5 +209,67 @@ class SamplingSpec extends SparkSpec {
     val a = IBS.sample(kg, targets, 15, 6, seed = 19)
     val b = IBS.sample(kg, targets, 15, 6, seed = 19)
     assert(a.triples.exceptAll(b.triples).count() == 0)
+  }
+
+  test("PPR scores equal a plain power iteration over the collected triples (oracle)") {
+    val (alpha, iters) = (0.25, 8)
+    val seeds = RandomWalk.sampleIds(targets, 20, 24)
+    val got = PPR.scores(kg, seeds, alpha, iters).collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+    // every triple is an edge both ways, duplicates kept; a node without edges pushes nothing
+    val nbrs = kg.triples.select("s", "o").collect()
+      .flatMap(r => Seq(r.getLong(0) -> r.getLong(1), r.getLong(1) -> r.getLong(0)))
+      .groupMap(_._1)(_._2)
+    val roots = seeds.collect().map(_.getLong(0)).toSet
+    val t = 1.0 / roots.size
+    var pi = roots.iterator.map(_ -> t).toMap
+    for (_ <- 1 to iters) {
+      val pushed = mutable.HashMap.empty[Long, Double]
+      for ((u, m) <- pi; vs <- nbrs.get(u); v <- vs) pushed(v) = pushed.getOrElse(v, 0.0) + m / vs.length
+      pi = (pushed.keySet ++ roots).iterator.map { v =>
+        v -> ((1 - alpha) * pushed.getOrElse(v, 0.0) + (if (roots(v)) alpha * t else 0.0))
+      }.toMap
+    }
+    assert(got.keySet == pi.keySet)
+    for ((v, x) <- pi) assert(math.abs(got(v) - x) <= 1e-12, s"node $v: ${got(v)} vs $x")
+  }
+
+  test("IBS keeps the node set of Algorithm 2's selection over the PPR scores (oracle)") {
+    val (bs, k, alpha, seed) = (20, 6, 0.25, 25)
+    val roots = RandomWalk.sampleIds(targets, bs, seed)
+    val sub = IBS.sample(kg, targets, bs, k, alpha, seed)
+    // per target: hop-1 rows, then hop-2 rows from the kept hop-1 rows, each
+    // capped at 64 rows (duplicates count) by score and id; per (target, node)
+    // the larger via (the score is the node's); then the top k by score and id
+    def capped(rows: String, cap: Int): String =
+      s"""SELECT t, nbr, via, score FROM (SELECT *, ROW_NUMBER() OVER (PARTITION BY t ORDER BY score DESC, nbr) AS rk
+         |FROM $rows) WHERE rk <= $cap""".stripMargin
+    Oracle.assertEquivalent(sub.nodeTypes.select("id"),
+      s"""WITH adj AS (SELECT CAST(s AS BIGINT) AS u, CAST(o AS BIGINT) AS v FROM triples
+         |             UNION ALL SELECT CAST(o AS BIGINT), CAST(s AS BIGINT) FROM triples),
+         |inf AS (SELECT CAST(id AS BIGINT) AS id, CAST(score AS DOUBLE) AS score FROM scores),
+         |r AS (SELECT CAST(id AS BIGINT) AS id FROM roots),
+         |c1 AS (SELECT r.id AS t, a.v AS nbr, a.v AS via, COALESCE(i.score, 0.0) AS score
+         |       FROM r JOIN adj a ON a.u = r.id LEFT JOIN inf i ON i.id = a.v),
+         |h1 AS (${capped("c1", 64)}),
+         |c2 AS (SELECT h1.t AS t, a.v AS nbr, h1.nbr AS via, COALESCE(i.score, 0.0) AS score
+         |       FROM h1 JOIN adj a ON a.u = h1.nbr LEFT JOIN inf i ON i.id = a.v),
+         |h2 AS (${capped("c2", 64)}),
+         |m AS (SELECT t, nbr, MAX(via) AS via, MAX(score) AS score
+         |      FROM (SELECT * FROM h1 UNION ALL SELECT * FROM h2) GROUP BY t, nbr),
+         |top AS (${capped("m", k)})
+         |SELECT id FROM r UNION SELECT nbr FROM top UNION SELECT via FROM top""".stripMargin,
+      "triples" -> kg.triples.select("s", "o"), "scores" -> PPR.scores(kg, roots, alpha), "roots" -> roots)
+  }
+
+  test("the samplers and the quality measure leave no persisted RDD or cached table behind") {
+    val sc = spark.sparkContext
+    targets.count() // builds the shared KG, which stays resident
+    val (rdds, tables) = (sc.getPersistentRDDs.keySet.toSet, CachedTables.count(spark))
+    IBS.sample(kg, targets, 10, 4, seed = 26).uncache()
+    URW.sample(kg, 20, 2, 26)
+    SubgraphQuality.measure(BRW.sample(kg, targets, 20, 2, 26), targets)
+    val left = sc.getPersistentRDDs.keySet.toSet -- rdds
+    assert(left.isEmpty, left.map(sc.getPersistentRDDs(_).toDebugString).mkString("\n"))
+    assert(CachedTables.count(spark) == tables)
   }
 }
