@@ -46,11 +46,11 @@ object KGTOSA {
   }
 
   /** Algorithm 3's merge, shared by the NC and LP extractions: paginate
-    * all subqueries on one worker pool, narrow their union with
-    * ``restrict``, and deduplicate where a union can repeat a row — the one
-    * place that makes KG' a set of triples. The subgraph is materialised
+    * all subqueries in one page job, narrow their union with ``restrict``,
+    * and deduplicate where a union can repeat a row — the one place that
+    * makes KG' a set of triples. The subgraph is materialised
     * (``fromTriples``) inside the timing, so the measured extraction time
-    * includes doing the work.
+    * includes doing the work; the endpoint's page table is freed after it.
     */
   private def sparqlMerge(endpoint: Endpoint, pattern: GraphPattern, queries: Seq[Query], bs: Long,
                           targets: DataFrame, restrict: DataFrame => DataFrame = identity): Extraction = {
@@ -59,10 +59,12 @@ object KGTOSA {
       // each subquery's pages are already a set; only a union repeats rows:
       // of two or more subqueries, or restrict's on("s") ∪ on("o"), which
       // only d = 2 patterns (two or more subqueries) use
-      val merged = restrict(paged)
-      val triples = (if (queries.size > 1) merged.dropDuplicates() else merged)
-        .select(col("s"), col("p").cast("int") as "p", col("o"))
-      (fromTriples(endpoint.store.kg, triples, targets), pages)
+      try {
+        val merged = restrict(paged)
+        val triples = (if (queries.size > 1) merged.dropDuplicates() else merged)
+          .select(col("s"), col("p").cast("int") as "p", col("o"))
+        (fromTriples(endpoint.store.kg, triples, targets), pages)
+      } finally repro.release(paged) // KG' holds its own resident copy
     }
     Extraction(sub, secs, s"KG-TOSA_d${pattern.d}h${pattern.h}", nBatches, queries.map(Sparql.render))
   }

@@ -9,7 +9,12 @@ import repro.kg.KG
 import repro.synth.LPTask
 import repro.timed
 
-/** Outcome of one link-prediction training run. */
+/** Outcome of one link-prediction training run. ``candidates`` is the
+  * number of type-compatible objects each test edge is ranked against:
+  * with ten or fewer, Hits@10 is 1 whatever the model. ``nonFiniteTests``
+  * counts the test edges at which some score was not finite (a diverged
+  * model).
+  */
 final case class LPResult(
     method: String,
     hits10: Double,
@@ -19,6 +24,8 @@ final case class LPResult(
     memoryBytes: Long,
     trainTriples: Long,
     testTriples: Long,
+    candidates: Int,
+    nonFiniteTests: Int,
 )
 
 /** One graph as LP training reads it ([[LinkPred.split]]): the training
@@ -35,7 +42,8 @@ final case class LPData(train: Array[(Long, Int, Long)], test: Array[(Long, Long
   *  - ``MorsE``  — TransE scoring (the paper uses the MorsE-TransE variant)
   *  - ``LHGNN``  — TransE with a per-relation diagonal projection of the
   *                 entity embeddings (a latent-heterogeneous stand-in:
-  *                 more parameters, better fit, higher cost)
+  *                 more parameters, better fit, higher cost), each entry
+  *                 kept in [-1, 1]
   *  - ``RGCN``   — TransE scoring over RGCN-sized accounting (full-batch
   *                 memory model), training identical to MorsE here
   *
@@ -46,6 +54,14 @@ final case class LPData(train: Array[(Long, Int, Long)], test: Array[(Long, Long
 object LinkPred {
 
   val methods: Seq[String] = Seq("MorsE", "LHGNN", "RGCN")
+
+  /** Bound on each entry of LHGNN's projection. A projection entry of at
+    * most 1 in magnitude cannot scale an embedding up, so the embedding and
+    * projection updates cannot feed each other without bound. Unbounded,
+    * they drove the scores to NaN on DBLP-lite AA within 48 epochs at the
+    * default step size.
+    */
+  private val ProjBound = 1.0
 
   /** Salt of the holdout hash, ``KG.hashRand(HoldoutSalt, s, o)``. */
   private val HoldoutSalt = 9002
@@ -92,7 +108,7 @@ object LinkPred {
             dim: Int = 16, epochs: Int = 12, lr: Double = 0.05,
             margin: Double = 1.0, seed: Int = 13): LPResult = {
     require(methods.contains(method), s"unknown LP method $method")
-    val ((hits10, mrr, nNodes, nRels, nTrain, nTest), secs) = timed {
+    val ((hits10, mrr, nNodes, nRels, nTrain, nTest, nCand, nonFinite), secs) = timed {
 
       val schema = g.schema
       val pT = schema.edgeType(task.predicate)
@@ -138,7 +154,8 @@ object LinkPred {
           e(o)(j) += lr * dPos * gs
           e(oNeg)(j) -= lr * dNeg * gs
           if (proj != null) {
-            proj(p)(j) -= lr * (dPos * (e(s)(j) - e(o)(j)) - dNeg * (e(s)(j) - e(oNeg)(j)))
+            val q = proj(p)(j) - lr * (dPos * (e(s)(j) - e(o)(j)) - dNeg * (e(s)(j) - e(oNeg)(j)))
+            proj(p)(j) = math.max(-ProjBound, math.min(ProjBound, q))
           }
           j += 1
         }
@@ -165,6 +182,7 @@ object LinkPred {
       val pIdx = relIdx.getOrElse(pT.id, 0)
       var hits = 0
       var reciprocal = 0.0
+      var nonFinite = 0
       test.foreach { case (sRaw, oRaw) =>
         val s = index(sRaw)
         val o = index(oRaw)
@@ -174,15 +192,19 @@ object LinkPred {
         val finite = sTrue.isFinite
         var better = 0
         var betterFiltered = 0
+        var allFinite = finite
         var i = 0
         while (i < candidates.length) {
           val c = candidates(i)
-          if (c != o && !(finite && score(s, pIdx, c) >= sTrue)) {
+          val sc = score(s, pIdx, c)
+          allFinite &&= sc.isFinite
+          if (c != o && !(finite && sc >= sTrue)) {
             better += 1
             if (!known(pair(s, c))) betterFiltered += 1
           }
           i += 1
         }
+        if (!allFinite) nonFinite += 1
         if (better < 10) hits += 1
         reciprocal += 1.0 / (betterFiltered + 1)
       }
@@ -190,13 +212,13 @@ object LinkPred {
       val hits10 = if (scored) hits.toDouble / test.length else 0.0
       val mrr = if (scored) reciprocal / test.length else 0.0
 
-      (hits10, mrr, nNodes, nRels, train.length, test.length)
+      (hits10, mrr, nNodes, nRels, train.length, test.length, candidates.length, nonFinite)
     }
     val bigF = MemoryModel.F
     val projParams = if (method == "LHGNN") nRels.toLong * bigF else 0L
     val params = nNodes.toLong * bigF + nRels.toLong * bigF + projParams
     val mem = 16L * nTrain + 24L * params +
       (if (method == "RGCN") 8L * nNodes * bigF * 3 else 0L)
-    LPResult(method, hits10, mrr, secs, params, mem, nTrain.toLong, nTest.toLong)
+    LPResult(method, hits10, mrr, secs, params, mem, nTrain.toLong, nTest.toLong, nCand, nonFinite)
   }
 }

@@ -1,32 +1,27 @@
 package repro.rdf
 
-import java.util.concurrent.{ConcurrentLinkedQueue, Executors}
-
-import scala.collection.mutable.ArrayBuffer
-import scala.concurrent.{Await, ExecutionContext, Future}
-import scala.concurrent.duration.Duration
-import scala.jdk.CollectionConverters._
-
-import org.apache.spark.TaskContext
+import org.apache.spark.{NarrowDependency, Partition, TaskContext}
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.functions.{col, lit}
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 /** SPARQL-endpoint simulation implementing Algorithm 3's execution shape:
   * count the result, split it into LIMIT/OFFSET batches of ``bs`` rows, and
-  * fetch batches with ``parallelism`` request-handler workers that append
-  * rows to a driver-side buffer (the paper's Pandas DataFrame). One worker
-  * pool serves all subqueries of an extraction, so no subquery waits for
-  * another's pages.
+  * fetch the batches with ``parallelism`` request handlers.
   *
   * Like an RDF engine serving pages from a result it has already sorted,
-  * each subquery's distinct result is sorted by all projected variables
-  * and held once; batch ``i`` is rows ``[i·bs, (i+1)·bs)`` of that order,
-  * cut from the partitions that hold them by one Spark job, with no
-  * re-planned query and no per-page sort. The query itself scans the
+  * the subqueries of one extraction are sorted once, together, by
+  * (subquery, projected variables) in one range shuffle; equal rows are
+  * then adjacent, so each partition drops repeats as it is read, and the
+  * sorted set is held once. Batch ``i`` of a subquery is rows ``[i·bs,
+  * (i+1)·bs)`` of its order. One Spark job fetches every page of every
+  * subquery: its task ``k`` is request handler ``k``, which reads the
+  * slices of a run of consecutive pages and writes them to a resident
+  * table. No row passes through the driver. The query itself scans the
   * [[TripleStore]]'s triple table; there is no index behind it (ROADMAP
-  * item 2).
+  * item 3).
   */
 final class Endpoint(val store: TripleStore, parallelism: Int = 8) {
   private val executor = new BGPExecutor(store)
@@ -41,11 +36,13 @@ final class Endpoint(val store: TripleStore, parallelism: Int = 8) {
   /** Paginated parallel execution per Algorithm 3 of one query. */
   def paginated(q: Query, bs: Long): (DataFrame, Int) = paginated(Seq(q), bs)
 
-  /** Algorithm 3 over all subqueries of one extraction on one worker pool:
-    * sort and count every subquery's distinct result, then fetch every page
-    * of every subquery. Returns the union of the subqueries' results (each
-    * under set semantics) as a DataFrame of LongType columns named by the
-    * projected vars, plus the total number of batches executed.
+  /** Algorithm 3 over all subqueries of one extraction: sort and count
+    * every subquery's distinct result, then fetch every page of every
+    * subquery in one job. Returns the union of the subqueries' results
+    * (each under set semantics, in page order) as a resident table of
+    * LongType columns named by the projected vars, plus the total number of
+    * batches executed. The caller owns the table and frees it with
+    * [[repro.release]].
     */
   def paginated(qs: Seq[Query], bs: Long): (DataFrame, Int) = {
     require(qs.nonEmpty, "no subqueries to paginate")
@@ -53,37 +50,25 @@ final class Endpoint(val store: TripleStore, parallelism: Int = 8) {
     val varsOut = qs.head.projected
     require(qs.forall(_.projected == varsOut), "subqueries must project the same variables")
     val spark = store.kg.triples.sparkSession
-    val sc = spark.sparkContext
     val outSchema = StructType(varsOut.map(v => StructField(v, LongType, nullable = true)))
 
-    val held = new ConcurrentLinkedQueue[RDD[Row]]()
-    val pool = Executors.newFixedThreadPool(math.max(1, parallelism))
-    implicit val ec: ExecutionContext = ExecutionContext.fromExecutor(pool)
-    def onPool[T](jobs: Seq[() => T]): Seq[T] =
-      Await.result(Future.sequence(jobs.map(j => Future(j()))), Duration.Inf)
+    // column 0 tags each row with its subquery, so one range shuffle sorts
+    // every subquery and keeps each one's rows contiguous
+    val sortKey = "subquery" +: varsOut
+    val sorted = qs.zipWithIndex.map { case (q, i) =>
+      executor.execute(q.copy(limit = None, offset = None)).select((lit(i) as "subquery") +: varsOut.map(col): _*)
+    }.reduce(_ union _).orderBy(sortKey.map(col): _*).queryExecution.toRdd
+      .mapPartitions(Endpoint.dropRepeats).persist()
     try {
-      // Set semantics before pagination: distinct rows give the total order a
-      // strict key, so pages neither drop nor duplicate rows. The sorted
-      // result is stored and counted per partition by one job.
-      val sorted = onPool(qs.map(q => () => {
-        val rows = executor.execute(q.copy(limit = None, offset = None)).distinct()
-          .orderBy(varsOut.map(col): _*).rdd.persist()
-        held.add(rows)
-        (rows, sc.runJob(rows, Endpoint.size _).toSeq)
-      }))
-      val pages = for {
-        (rows, sizes) <- sorted
-        page <- Endpoint.pagePlan(sizes, bs)
-      } yield () => if (page.isEmpty) Array.empty[Row]
-        else sc.runJob(rows, Endpoint.cut(page), page.map(_.part)).flatten
-      val buffer = onPool(pages).flatten
-      // pages are disjoint windows over distinct results: no dedup needed
-      val df = spark.createDataFrame(sc.parallelize(buffer, math.max(1, parallelism)), outSchema)
-      (df, pages.size)
-    } finally {
-      pool.shutdown()
-      held.asScala.foreach(_.unpersist(blocking = false))
-    }
+      val sizes = spark.sparkContext.runJob(sorted, Endpoint.sizes(qs.size) _)
+      val pages = qs.indices.flatMap { i =>
+        val before = sizes.map(_.take(i).sum)
+        Endpoint.pagePlan(sizes.map(_(i)).toSeq, bs)
+          .map(_.map(s => s.copy(from = before(s.part) + s.from, until = before(s.part) + s.until)))
+      }
+      val rows = new Endpoint.PageRDD(sorted, Endpoint.runs(sorted, pages, math.max(1, parallelism)))
+      (spark.createDataFrame(rows, outSchema).localCheckpoint(true), pages.size)
+    } finally sorted.unpersist(blocking = false)
   }
 }
 
@@ -112,25 +97,61 @@ object Endpoint {
     }
   }
 
-  private def size(it: Iterator[Row]): Long = {
-    var n = 0L
-    while (it.hasNext) { it.next(); n += 1 }
-    n
+  /** A sorted partition without its repeats, which sorting made adjacent. */
+  private def dropRepeats(rows: Iterator[InternalRow]): Iterator[InternalRow] = {
+    var last: InternalRow = null
+    rows.filter(r => last == null || r != last).map { r => last = r.copy(); last }
   }
 
-  /** The task side of one page: each partition returns its slice. */
-  private def cut(page: Seq[Slice]): (TaskContext, Iterator[Row]) => Array[Row] = {
-    val byPart = page.map(s => s.part -> s).toMap
-    (ctx, it) => {
-      val s = byPart(ctx.partitionId())
-      val out = ArrayBuffer.empty[Row]
-      var i = 0L
-      while (i < s.until && it.hasNext) {
-        val r = it.next()
-        if (i >= s.from) out += r
-        i += 1
+  /** Rows per subquery (the tag in column 0) of one partition. */
+  private def sizes(n: Int)(rows: Iterator[InternalRow]): Array[Long] = {
+    val out = new Array[Long](n)
+    rows.foreach(r => out(r.getInt(0)) += 1)
+    out
+  }
+
+  /** Request handler ``index``'s run of consecutive pages, as slices of the
+    * sorted partitions; ``parents`` are the partitions the slices read.
+    */
+  private final class Run(val index: Int, val slices: Seq[Slice], val parents: Map[Int, Partition])
+    extends Partition
+
+  /** ``pages`` split into at most ``handlers`` runs of consecutive pages; a
+    * run's contiguous slices of one partition merge, so a task reads each
+    * partition in one pass.
+    */
+  private def runs(sorted: RDD[InternalRow], pages: Seq[Seq[Slice]], handlers: Int): Array[Run] = {
+    val n = math.min(handlers, pages.size)
+    Array.tabulate(n) { k =>
+      val slices = pages.slice(k * pages.size / n, (k + 1) * pages.size / n).flatten
+        .foldLeft(List.empty[Slice]) {
+          case (last :: done, s) if last.part == s.part && last.until == s.from => last.copy(until = s.until) :: done
+          case (done, s) => s :: done
+        }.reverse
+      new Run(k, slices, slices.map(s => s.part -> sorted.partitions(s.part)).toMap)
+    }
+  }
+
+  /** The page job's input: partition ``k`` is run ``k``'s rows, without
+    * their tag.
+    */
+  private final class PageRDD(sorted: RDD[InternalRow], runs: Array[Run])
+      extends RDD[Row](sorted.context, Seq(new NarrowDependency(sorted) {
+        def getParents(k: Int): Seq[Int] = runs(k).parents.keys.toSeq.sorted
+      })) {
+
+    override protected def getPartitions: Array[Partition] = runs.toArray
+
+    override def compute(split: Partition, ctx: TaskContext): Iterator[Row] = {
+      val run = split.asInstanceOf[Run]
+      val parent = firstParent[InternalRow]
+      run.slices.iterator.flatMap { s =>
+        val it = parent.iterator(run.parents(s.part), ctx)
+        var i = 0L
+        while (i < s.from && it.hasNext) { it.next(); i += 1 }
+        it.takeWhile { _ => i += 1; i <= s.until }
+          .map(r => Row.fromSeq((1 until r.numFields).map(c => if (r.isNullAt(c)) null else r.getLong(c))))
       }
-      out.toArray
     }
   }
 }

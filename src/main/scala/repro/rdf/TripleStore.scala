@@ -10,7 +10,8 @@ import repro.kg.KG
   * position of a triple pattern is a lookup, not a scan. This store has no
   * such index: every data pattern scans the KG's triple table (held in
   * memory by [[repro.kg.KG.cached]]), with constant positions applied as
-  * filters. Index-backed scans are ROADMAP item 2.
+  * filters. Index-backed scans are ROADMAP item 3. [[Endpoint]] sorts a
+  * subquery's result itself, once per extraction, to cut its pages.
   *
   * Node types are not stored as triples. A node type is an id range
   * ([[repro.kg.NodeTypeInfo]]), and [[BGPExecutor]] compiles

@@ -100,8 +100,9 @@ object Tasks {
   }
 
   /** Edge folds for an LP task: DF ``(s, p, o, fold)`` over the target
-    * predicate's triples. Time split orders by subject position (edge ids
-    * are not stable across unions); random split hashes the endpoint pair.
+    * predicate's triples. Both splits hash the endpoint pair ``(s, o)``,
+    * with salt 9002 for a time split and 9003 for a random one. Unlike a
+    * node, an edge has no id position to stand in for time.
     */
   def lpSplit(kg: KG, task: LPTask): DataFrame = {
     val p = kg.schema.edgeType(task.predicate)

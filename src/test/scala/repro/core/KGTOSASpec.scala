@@ -1,6 +1,9 @@
 package repro.core
 
+import org.apache.spark.sql.CachedTables
 import org.apache.spark.sql.functions._
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 
 import repro.{Oracle, SparkSpec, TestKGs}
 import repro.rdf.{Endpoint, TripleStore}
@@ -114,6 +117,41 @@ class KGTOSASpec extends SparkSpec {
     assert(inSub == kg.triples.filter(col("p") === pid).distinct().count())
     assert(inKg > 0)
     ex.subgraph.uncache()
+  }
+
+  test("every page of a d2h1 LP extraction is fetched by one Spark job") {
+    val sc = spark.sparkContext
+    kg.triples.count() // builds the shared KG outside the job groups
+    def jobs(bs: Long): (Int, Int) = {
+      val group = s"lp-extract-$bs"
+      sc.setJobGroup(group, "KGTOSA.sparqlExtractLP")
+      val ex = try KGTOSA.sparqlExtractLP(endpoint, Tasks.AA_DBLP, GraphPattern(2, 1), bs)
+        finally sc.clearJobGroup()
+      ex.subgraph.uncache()
+      // the status tracker hears of jobs in order: once it has seen a later
+      // job, it has seen every job of the call
+      sc.setJobGroup(s"$group-after", "marker")
+      try sc.parallelize(Seq(1), 1).count()
+      finally sc.clearJobGroup()
+      eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup(s"$group-after").nonEmpty))
+      (ex.batches, sc.statusTracker.getJobIdsForGroup(group).length)
+    }
+    val (manyPages, manyJobs) = jobs(bs = 300)
+    val (onePerQuery, fewJobs) = jobs(bs = 100000)
+    assert(manyPages >= 10 && onePerQuery == 5, s"$manyPages and $onePerQuery pages")
+    // more pages add no job: all of them are one job's tasks
+    assert(manyJobs == fewJobs, s"$manyJobs jobs for $manyPages pages, $fewJobs for $onePerQuery")
+  }
+
+  test("SPARQL extraction leaves no persisted RDD or cached table behind") {
+    val sc = spark.sparkContext
+    Tasks.targets(kg, task).count() // builds the shared KG, which stays resident
+    val (rdds, tables) = (sc.getPersistentRDDs.keySet.toSet, CachedTables.count(spark))
+    KGTOSA.sparqlExtract(endpoint, task, GraphPattern(1, 1), bs = 5000).subgraph.uncache()
+    KGTOSA.sparqlExtractLP(endpoint, Tasks.AA_DBLP, GraphPattern(2, 1), bs = 300).subgraph.uncache()
+    val left = sc.getPersistentRDDs.keySet.toSet -- rdds
+    assert(left.isEmpty, left.map(sc.getPersistentRDDs(_).toDebugString).mkString("\n"))
+    assert(CachedTables.count(spark) == tables)
   }
 
   test("targetSample with h = 2 is rejected") {

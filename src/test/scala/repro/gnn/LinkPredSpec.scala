@@ -98,7 +98,7 @@ class LinkPredSpec extends SparkSpec {
     val pinned = Seq(
       ("MorsE", TestKGs.yago3, Tasks.CA_YAGO3, Seq(1.0, 0.8867924528301887, 1.0, 1.0)),
       ("LHGNN", TestKGs.yago3, Tasks.CA_YAGO3,
-        Seq(0.7169811320754716, 0.7735849056603774, 0.8867924528301887, 0.8113207547169812)),
+        Seq(1.0, 0.9811320754716981, 1.0, 1.0)),
       ("MorsE", TestKGs.dblp, Tasks.AA_DBLP, Seq(0.45714285714285713, 0.4, 0.35714285714285715, 0.4714285714285714)),
     )
     for ((m, kg, task, expected) <- pinned; (hits, seed) <- expected.zip(13 to 16))
@@ -113,9 +113,19 @@ class LinkPredSpec extends SparkSpec {
   }
 
   test("a diverged LHGNN does not read as a perfect rank") {
-    // this step size drives the scores to NaN; a NaN comparison must count
-    // against the true object instead of ranking it first
-    val r = LinkPred.train(TestKGs.dblp, Tasks.AA_DBLP, "LHGNN", lr = 50.0)
+    // this step size overflows the embeddings, so the scores are NaN; a NaN
+    // comparison must count against the true object instead of ranking it first
+    val r = LinkPred.train(TestKGs.dblp, Tasks.AA_DBLP, "LHGNN", lr = 1e308)
+    assert(r.nonFiniteTests > 0, "the scores stayed finite")
     assert(r.hits10 < 1.0, s"hits@10 ${r.hits10}")
+  }
+
+  test("LHGNN on DBLP-lite AA keeps every test edge's scores finite at its default step size") {
+    // 48 epochs: the update count under which an unbounded projection diverges
+    for (epochs <- Seq(12, 48)) {
+      val r = LinkPred.train(TestKGs.dblp, Tasks.AA_DBLP, "LHGNN", epochs = epochs)
+      assert(r.testTriples > 0 && r.candidates > 10, s"${r.testTriples} test edges, ${r.candidates} candidates")
+      assert(r.nonFiniteTests == 0, s"$epochs epochs: ${r.nonFiniteTests} of ${r.testTriples} test edges")
+    }
   }
 }
