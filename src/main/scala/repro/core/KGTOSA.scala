@@ -1,9 +1,11 @@
 package repro.core
 
+import org.apache.spark.HashPartitioner
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 
-import repro.kg.KG
+import repro.kg.{KG, NodeJoin}
 import repro.rdf.{Endpoint, Query, Sparql}
 import repro.sampling.{BRW, IBS, URW}
 import repro.synth.{LPTask, NCTask, Tasks}
@@ -30,19 +32,27 @@ object KGTOSA {
     * node set = endpoints of the triples plus all targets (targets with no
     * matched edge must stay — they carry labels), with the full KG's
     * node-type rows. The triples are materialised first, so the node set
-    * reads them rather than evaluating their query again; it is one RDD
-    * cogroup on the node id, which generates no code (DESIGN.md §5.5).
+    * reads them rather than evaluating their query again.
     */
   private def fromTriples(kg: KG, triples: DataFrame, targets: DataFrame): KG = {
     val t = KG.resident(triples)
-    val (s, o) = (t.schema.fieldIndex("s"), t.schema.fieldIndex("o"))
-    val ends = t.queryExecution.toRdd.flatMap(r => Iterator(r.getLong(s), r.getLong(o)))
-      .union(targets.select(col("id")).queryExecution.toRdd.map(_.getLong(0)))
     val types = kg.nodeTypes.select(col("id"), col("ntype"))
-    val kept = types.queryExecution.toRdd.map(r => (r.getLong(0), r.getInt(1)))
-      .cogroup(ends.map(id => (id, ())))
-      .flatMap { case (id, (ts, hits)) => if (hits.isEmpty) Nil else ts.map(Row(id, _)) }
-    KG(kg.schema, t, KG.resident(t.sparkSession.createDataFrame(kept, types.schema)))
+    KG(kg.schema, t, KG.resident(t.sparkSession.createDataFrame(nodeRows(types, t, targets), types.schema)))
+  }
+
+  /** The rows of ``types`` (``id, ntype``) whose id is an end (``s`` or
+    * ``o``) of ``triples`` or a target: the distinct ends, one shuffle with
+    * a merge on each side, are the [[NodeJoin]] table the type rows stream
+    * past. RDD operations, which generate no code (DESIGN.md §5.5).
+    */
+  private[repro] def nodeRows(types: DataFrame, triples: DataFrame, targets: DataFrame): RDD[Row] = {
+    val part = new HashPartitioner(types.sparkSession.sparkContext.defaultParallelism)
+    val (s, o) = (triples.schema.fieldIndex("s"), triples.schema.fieldIndex("o"))
+    val ends = triples.queryExecution.toRdd.flatMap(r => Iterator(r.getLong(s), r.getLong(o)))
+      .union(KG.ids(targets))
+    val kept = NodeJoin.reduce(ends.map(id => (id, ())), part)((a, _) => a)
+    val byId = types.queryExecution.toRdd.map(r => (r.getLong(0), r.getInt(1))).partitionBy(part)
+    NodeJoin.probe(byId, kept)((rows, ends) => rows.collect { case (id, ty) if ends.contains(id) => Row(id, ty) })
   }
 
   /** Algorithm 3's merge, shared by the NC and LP extractions: paginate

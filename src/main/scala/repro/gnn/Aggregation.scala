@@ -6,7 +6,7 @@ import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 
-import repro.kg.KG
+import repro.kg.{KG, NodeJoin}
 
 /** Spark-side message passing: L rounds of mean aggregation of neighbour
   * features over the undirected adjacency ([[KG.adjacency]]). This is the
@@ -17,8 +17,9 @@ import repro.kg.KG
   * The aggregation is relation-blind: every edge counts the same whatever
   * its predicate. It runs on RDDs, which generate no code: the adjacency is
   * ``(v, u)`` pairs and the features ``(id, vector)`` pairs under one hash
-  * partitioner, so a hop is a co-partitioned (narrow) join plus one shuffle
-  * into that partitioner, and L hops cost L shuffles (DESIGN.md §5.5).
+  * partitioner, so a hop is one [[NodeJoin.hop]] (a co-partitioned hash join
+  * and one shuffle into that partitioner), and L hops cost L shuffles
+  * (DESIGN.md §5.5).
   */
 object Aggregation {
 
@@ -50,25 +51,24 @@ object Aggregation {
 
   /** Hops ``h0 = feats, h1 .. hL`` over ``adj`` (as made by [[adjacency]]):
     * ``hk(u)`` is the mean of ``h(k-1)(v)`` over the pairs ``(v, u)``, and a
-    * node with no such pair has no row. Each hop joins ``adj`` to the
-    * previous hop without a shuffle (both are partitioned by ``adj``'s
-    * partitioner) and sums per ``u`` into that partitioner: one shuffle.
+    * node with no such pair has no row. Each hop is one [[NodeJoin.hop]] of
+    * ``adj`` past the previous hop (both are partitioned by ``adj``'s
+    * partitioner): per ``u`` a sum with the count in one more slot, one
+    * shuffle into that partitioner.
     */
-  def hops(adj: RDD[(Long, Long)], feats: Vectors, l: Int): Seq[Vectors] = {
-    val part = adj.partitioner.getOrElse(new HashPartitioner(adj.getNumPartitions))
+  def hops(adj: RDD[(Long, Long)], feats: Vectors, l: Int): Seq[Vectors] =
     (1 to l).scanLeft(feats) { (prev, _) =>
-      adj.join(prev, part).values.combineByKey[(Array[Double], Long)](
-        x => (x.clone(), 1L),
-        { case ((sum, n), x) => add(sum, x); (sum, n + 1) },
-        { case ((a, n), (b, m)) => add(a, b); (a, n + m) },
-        part,
-      ).mapValues { case (sum, n) => sum.map(_ / n.toDouble) }
+      NodeJoin.hop[Array[Double], Array[Double]](adj, prev)(
+        x => { val s = java.util.Arrays.copyOf(x, x.length + 1); s(x.length) = 1.0; s },
+        (s, x) => { add(s, x); s(x.length) += 1.0; s },
+        (s, t) => { add(s, t); s },
+      ).mapValues { s => val d = s.length - 1; Array.tabulate(d)(j => s(j) / s(d)) }
     }
-  }
 
+  /** ``into += x`` over ``x``'s length. */
   private def add(into: Array[Double], x: Array[Double]): Unit = {
     var j = 0
-    while (j < into.length) { into(j) += x(j); j += 1 }
+    while (j < x.length) { into(j) += x(j); j += 1 }
   }
 
   /** Aggregate ``feats`` (``id, f0..f{F-1}``) over ``g`` for ``L`` hops.
@@ -83,7 +83,9 @@ object Aggregation {
     val d = fs.size
     val h0 = vectors(feats, part)
     val wide = hops(adjacency(g, part, fanoutCap, seed), h0, l).tail.foldLeft(h0) { (acc, h) =>
-      acc.leftOuterJoin(h).mapValues { case (a, b) => a ++ b.getOrElse(new Array[Double](d)) }
+      NodeJoin.probe(acc, h, keyed = true) { (rows, hk) =>
+        rows.map { case (id, a) => val b = hk.getOrNull(id); (id, a ++ (if (b == null) new Array[Double](d) else b)) }
+      }
     }
     val names = fs ++ (1 to l).flatMap(k => fs.map(c => s"h${k}_$c"))
     val schema = StructType(StructField("id", LongType, nullable = false) +:

@@ -46,8 +46,7 @@ final case class KG(schema: KGSchema, triples: DataFrame, nodeTypes: DataFrame) 
     * catch generator bugs such as empty types or dropped predicates.
     */
   def stats: KGStats = {
-    val e = KG.countsBy(triples, "p")
-    val n = KG.countsBy(nodeTypes, "ntype")
+    val Seq(e, n) = KG.countsBy(triples -> "p", nodeTypes -> "ntype")
     KGStats(n.values.sum, e.values.sum, n.size.toLong, e.size.toLong)
   }
 
@@ -79,19 +78,25 @@ object KG {
   /** The ``id`` column of ``df`` as an RDD. */
   def ids(df: DataFrame): RDD[Long] = df.select(col("id")).queryExecution.toRdd.map(_.getLong(0))
 
-  /** Rows of ``df`` per value of its int column ``c``: one map entry per
+  /** Rows of each table per value of its int column: one map entry per
     * value (per type, for a type column), counted in each partition and
-    * merged on the driver. No shuffle and no aggregation query: the only
-    * generated code reads the table's rows, as every full read of it does
-    * (DESIGN.md §5.5).
+    * merged on the driver. One Spark job reads every table, with no shuffle
+    * and no aggregation query: the only generated code reads the tables'
+    * rows, as every full read of them does (DESIGN.md §5.5).
     */
-  def countsBy(df: DataFrame, c: String): Map[Int, Long] = {
-    val i = df.schema.fieldIndex(c)
-    df.queryExecution.toRdd.mapPartitions { rows =>
-      val m = mutable.HashMap.empty[Int, Long]
-      rows.foreach { r => val k = r.getInt(i); m(k) = m.getOrElse(k, 0L) + 1 }
-      Iterator(m.toMap)
-    }.fold(Map.empty)((a, b) => b.foldLeft(a) { case (acc, (k, n)) => acc.updated(k, acc.getOrElse(k, 0L) + n) })
+  def countsBy(tables: (DataFrame, String)*): Seq[Map[Int, Long]] = {
+    val perPartition = tables.zipWithIndex.map { case ((df, c), t) =>
+      val i = df.schema.fieldIndex(c)
+      df.queryExecution.toRdd.mapPartitions { rows =>
+        val m = mutable.HashMap.empty[Int, Long]
+        rows.foreach { r => val k = r.getInt(i); m(k) = m.getOrElse(k, 0L) + 1 }
+        Iterator(t -> m.toMap)
+      }
+    }
+    val counted = tables.head._1.sparkSession.sparkContext.union(perPartition).collect()
+    tables.indices.map(t => counted.iterator.filter(_._1 == t).map(_._2).foldLeft(Map.empty[Int, Long]) { (acc, m) =>
+      m.foldLeft(acc) { case (a, (k, n)) => a.updated(k, a.getOrElse(k, 0L) + n) }
+    })
   }
 
   /** Deterministic uniform(0,1) pseudo-random from arbitrary columns —

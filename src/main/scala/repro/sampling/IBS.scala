@@ -1,11 +1,12 @@
 package repro.sampling
 
+import scala.collection.mutable
 import scala.collection.mutable.ArrayBuffer
 
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 
-import repro.kg.KG
+import repro.kg.{KG, NodeJoin}
 
 /** Influence-based Sampling — Algorithm 2.
   *
@@ -70,8 +71,9 @@ object IBS {
     * count), collected: each pair ``(n, x)`` of ``adj`` with ``x`` a key of
     * ``from`` gives the row ``(score(n), n, via = x)`` to each target of
     * ``from(x)``, once per listing. The adjacency is symmetric, so keying the
-    * rows by ``n`` joins the scores without a shuffle; the selection keeps at
-    * most ``2 · cap`` rows per target and partition.
+    * rows by ``n`` joins the scores in a [[NodeJoin.probe]]; each partition
+    * keeps its first ``cap`` rows per target and the driver the first
+    * ``cap`` of those, with no shuffle.
     */
   private def capped(adj: RDD[(Long, Long)], inf: RDD[(Long, Double)], from: Map[Long, Seq[Long]],
                      cap: Int): Map[Long, Array[Cand]] = {
@@ -79,11 +81,11 @@ object IBS {
     def trim(rows: ArrayBuffer[Cand]): ArrayBuffer[Cand] =
       if (rows.length < 2 * cap) rows
       else { val kept = rows.sorted(rank).take(cap); rows.clear(); rows ++= kept }
-    adj.filter { case (_, x) => b.value.contains(x) }
-      .leftOuterJoin(inf)
-      .flatMap { case (n, (x, s)) => b.value(x).iterator.map(t => (t, Cand(s.getOrElse(0.0), n, x))) }
-      .aggregateByKey(ArrayBuffer.empty[Cand])((rows, c) => trim(rows += c), (a, c) => trim(a ++= c))
-      .mapValues(_.sorted(rank).take(cap).toArray)
-      .collect().toMap
+    NodeJoin.probe(adj.filter { case (_, x) => b.value.contains(x) }, inf) { (pairs, score) =>
+      val rows = mutable.LongMap.empty[ArrayBuffer[Cand]]
+      for ((n, x) <- pairs; s = score.getOrElse(n, 0.0); t <- b.value(x))
+        trim(rows.getOrElseUpdate(t, ArrayBuffer.empty[Cand]) += Cand(s, n, x))
+      rows.iterator.map { case (t, cs) => (t, cs.sorted(rank).take(cap).toArray) }
+    }.collect().groupMapReduce(_._1)(_._2)(_ ++ _).map { case (t, cs) => t -> cs.sorted(rank).take(cap) }
   }
 }

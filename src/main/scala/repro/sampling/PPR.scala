@@ -5,7 +5,7 @@ import scala.collection.mutable
 import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
 
-import repro.kg.KG
+import repro.kg.{KG, NodeJoin}
 
 /** Personalized PageRank via power iteration on the degree-normalised
   * adjacency (each edge both ways), with teleport mass spread uniformly over a
@@ -20,10 +20,12 @@ object PPR {
     * ``adj`` (as made by [[KG.adjacency]]) and partitioned as it is. With
     * ``t = 1 / |roots|``, ``π0`` is ``t`` on each root, and each iteration
     * gives ``π'(v) = (1 − α) Σ π(u) / deg(u)`` over the pairs ``(u, v)``, plus
-    * ``α t`` on each root. ``π / deg`` joins ``adj`` without a shuffle, and
-    * the sum per ``v`` is one shuffle into ``adj``'s partitioner; the
-    * teleport mass comes from the broadcast roots. Lazy: the chain runs as
-    * one job when the caller acts on the result.
+    * ``α t`` on each root. The degrees are counted in each partition of
+    * ``adj`` (it is partitioned by ``u``), ``π / deg`` is a [[NodeJoin.join]]
+    * and the sum per ``v`` one [[NodeJoin.hop]] of ``adj`` past it: one
+    * shuffle into ``adj``'s partitioner. The teleport mass comes from the
+    * broadcast roots. Lazy: the chain runs as one job when the caller acts on
+    * the result.
     *
     * @param alpha teleport probability (paper uses 0.1–0.25)
     * @param iters power iterations (each costs one shuffle)
@@ -33,7 +35,8 @@ object PPR {
     val sorted = roots.distinct.sorted
     val t = 1.0 / math.max(1, sorted.length)
     val seeds = adj.sparkContext.broadcast(sorted)
-    val deg = adj.mapValues(_ => 1L).reduceByKey(part, _ + _)
+    val deg = adj.mapPartitions(ps => NodeJoin.merged(ps.map { case (u, _) => (u, 1L) })(_ + _),
+      preservesPartitioning = true)
     // each partition adds α t to its roots: to their walk mass, or alone
     def teleport(walk: RDD[(Long, Double)]): RDD[(Long, Double)] = walk.mapPartitionsWithIndex({ (i, it) =>
       val rs = seeds.value
@@ -45,8 +48,8 @@ object PPR {
     }, preservesPartitioning = true)
     val pi0 = adj.sparkContext.parallelize(sorted.toSeq.map(_ -> t)).partitionBy(part)
     (1 to iters).foldLeft(pi0) { (pi, _) =>
-      val spread = pi.join(deg).mapValues { case (s, d) => s / d }
-      teleport(adj.join(spread).values.reduceByKey(part, _ + _))
+      val spread = NodeJoin.join(deg, pi).mapValues { case (d, s) => s / d }
+      teleport(NodeJoin.hop[Double, Double](adj, spread)(identity, _ + _, _ + _))
     }
   }
 

@@ -2,6 +2,8 @@ package repro.kg
 
 import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.functions._
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 
 import repro.{SparkSpec, TestKGs}
 import repro.synth.KGBench
@@ -17,6 +19,20 @@ class KGSuite extends SparkSpec {
     assert(st.nTypes == kg.schema.nodeTypes.size)
     assert(st.eTypes <= kg.schema.edgeTypes.size)
     assert(st.eTypes > 0)
+  }
+
+  test("stats reads both tables in one Spark job") {
+    val (g, sc) = (kg, spark.sparkContext) // built outside the job group
+    sc.setJobGroup("kg-stats", "KG.stats")
+    try g.stats
+    finally sc.clearJobGroup()
+    // the status tracker hears of jobs in order: once it has seen a later
+    // job, it has seen every job of the call
+    sc.setJobGroup("kg-stats-after", "marker")
+    try sc.parallelize(Seq(1), 1).count()
+    finally sc.clearJobGroup()
+    eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup("kg-stats-after").nonEmpty))
+    assert(sc.statusTracker.getJobIdsForGroup("kg-stats").length == 1)
   }
 
   test("cached() holds each table in at most defaultParallelism partitions and keeps every row") {

@@ -37,6 +37,12 @@ class SubgraphQualitySpec extends SparkSpec {
     assert(d(3L) == 1)
   }
 
+  test("bfs stops at the first level that reaches no new node") {
+    val (dist, sizes) = SubgraphQuality.bfs(star.adjacency(), KG.ids(hub), maxHops = 10)
+    dist.unpersist()
+    assert(sizes == Seq(1L, 3L, 1L, 0L)) // hub; 1, 2, 3; 4; nothing new
+  }
+
   test("measure counts targets, types and relations on the star") {
     val q = SubgraphQuality.measure(star, hub)
     assert(q.nodes == 8)
