@@ -44,8 +44,6 @@ final case class LPData(train: Array[(Long, Int, Long)], test: Array[(Long, Long
   *                 entity embeddings (a latent-heterogeneous stand-in:
   *                 more parameters, better fit, higher cost), each entry
   *                 kept in [-1, 1]
-  *  - ``RGCN``   — TransE scoring over RGCN-sized accounting (full-batch
-  *                 memory model), training identical to MorsE here
   *
   * Trained driver-side with margin ranking + negative sampling over the
   * (sub)graph's triples, read by one Spark job per call; Hits@10 and
@@ -53,7 +51,7 @@ final case class LPData(train: Array[(Long, Int, Long)], test: Array[(Long, Long
   */
 object LinkPred {
 
-  val methods: Seq[String] = Seq("MorsE", "LHGNN", "RGCN")
+  val methods: Seq[String] = Seq("MorsE", "LHGNN")
 
   /** Bound on each entry of LHGNN's projection. A projection entry of at
     * most 1 in magnitude cannot scale an embedding up, so the embedding and
@@ -217,8 +215,7 @@ object LinkPred {
     val bigF = MemoryModel.F
     val projParams = if (method == "LHGNN") nRels.toLong * bigF else 0L
     val params = nNodes.toLong * bigF + nRels.toLong * bigF + projParams
-    val mem = 16L * nTrain + 24L * params +
-      (if (method == "RGCN") 8L * nNodes * bigF * 3 else 0L)
+    val mem = 16L * nTrain + 24L * params
     LPResult(method, hits10, mrr, secs, params, mem, nTrain.toLong, nTest.toLong, nCand, nonFinite)
   }
 }

@@ -23,22 +23,18 @@ object MemoryModel {
   def params(n: Long, r: Long, labels: Long, l: Int): Long =
     n * F + l.toLong * r * F * F + F * labels
 
-  /** Training-resident bytes for a method on a graph of ``n`` nodes,
-    * ``m`` edges, ``r`` relations:
+  /** Training-resident bytes on a graph of ``n`` nodes, ``m`` edges,
+    * ``r`` relations, with ``batchNodes`` nodes in flight per batch:
     *  - graph storage: 16·m (COO endpoints) + 8·n (ids/types)
-    *  - activations: 8·B·F·(L+1), where B = n for full-batch methods and
-    *    the in-flight batch node count for mini-batch methods
+    *  - activations: 8·B·F·(L+1), where B = min(n, batchNodes)
     *  - model + optimiser: 3 × 8·params
-    *  - sampler working set: 8·n for subgraph samplers, 0 for full-batch
+    *  - sampler working set: 8·n
     */
-  def trainingBytes(method: String, n: Long, m: Long, r: Long,
-                    labels: Long, l: Int, batchNodes: Long): Long = {
+  def trainingBytes(n: Long, m: Long, r: Long, labels: Long, l: Int, batchNodes: Long): Long = {
     val graph = 16L * m + 8L * n
-    val fullBatch = method == "RGCN"
-    val actBasis = if (fullBatch) n else math.min(n, batchNodes)
-    val activations = 8L * actBasis * F * (l + 1)
+    val activations = 8L * math.min(n, batchNodes) * F * (l + 1)
     val model = 24L * params(n, r, labels, l)
-    val sampler = if (fullBatch) 0L else 8L * n
+    val sampler = 8L * n
     graph + activations + model + sampler
   }
 

@@ -48,16 +48,15 @@ final case class TrainResult(
   * (Spark message passing → Breeze softmax head, DESIGN.md §5.5); they
   * differ in *what* gets aggregated, mirroring each method's sampling:
   *
-  *  - ``RGCN``        — full-batch aggregation over the whole graph
-  *  - ``SeHGNN``      — full aggregation precomputed once (its stated
-  *                      optimisation), mini-batch head
+  *  - ``SeHGNN``      — relation-blind full aggregation precomputed once
+  *                      (its stated optimisation), mini-batch head
   *  - ``GraphSAINT``  — URW-sampled subgraphs per batch, within-batch
   *                      aggregation (types ignored by the sampler)
   *  - ``ShaDowSAINT`` — bounded-fanout (ego-scope) aggregation
   */
 object Trainers {
 
-  val methods: Seq[String] = Seq("RGCN", "SeHGNN", "GraphSAINT", "ShaDowSAINT")
+  val methods: Seq[String] = Seq("SeHGNN", "GraphSAINT", "ShaDowSAINT")
 
   /** The task's targets in ``g``, in id order, with their ``h0`` rows,
     * labels and folds (0 = train, 1 = valid, 2 = test): one SQL collect per
@@ -253,7 +252,7 @@ object Trainers {
               val hs = Aggregation.hops(adj.filter { case (v, u) => in(v) && in(u) }, feats.filter(r => in(r._1)), p.l)
               collectXY(targets, hs, in)(0)
             }
-          case _ => // RGCN, SeHGNN, ShaDowSAINT: full (ShaDow: fanout-capped) aggregation
+          case _ => // SeHGNN, ShaDowSAINT: full (ShaDow: fanout-capped) aggregation
             Seq(fullXY(0))
         }
       }
@@ -282,7 +281,7 @@ object Trainers {
         trainSeconds = prepSecs + sgdSecs,
         inferSeconds = inferSecs,
         params = MemoryModel.params(n, r, task.numLabels.toLong, p.l),
-        memoryBytes = MemoryModel.trainingBytes(method, n, m, r, task.numLabels.toLong, p.l, batchNodes),
+        memoryBytes = MemoryModel.trainingBytes(n, m, r, task.numLabels.toLong, p.l, batchNodes),
         trainExamples = trainBatches.map(_._2.length.toLong).sum,
         graphNodes = n,
         graphEdges = m,

@@ -103,14 +103,8 @@ object KG {
     * unlike ``rand()`` it does not depend on partitioning, so generators
     * and samplers are reproducible across sessions and parallelism levels.
     */
-  def hashRand(salt: Int, cols: Column*): Column = hashRand(lit(salt), cols: _*)
-
-  /** [[hashRand]] with the salt read from an ``int`` column: the hash of an
-    * int column equals the hash of the same int literal, and generated code
-    * that reads the salt as data does not change with its value.
-    */
-  def hashRand(salt: Column, cols: Column*): Column =
-    centre[Column](hashBucket(salt, cols: _*).cast("double"), _ + _, _ / _)
+  def hashRand(salt: Int, cols: Column*): Column =
+    centre[Column](hashBucket(lit(salt), cols: _*).cast("double"), _ + _, _ / _)
 
   /** The integer behind [[hashRand]]: one of a million buckets, ordered as
     * the uniform draw is.

@@ -79,24 +79,26 @@ object SubgraphQuality {
 
   /** All Table III indicators for subgraph ``g`` w.r.t. target set
     * ``targets`` (ids from the full KG; intersected with ``g``'s nodes).
-    * Holds ``g``'s adjacency for the BFS and the entropy, and frees it and
-    * the BFS distances before it returns or throws.
+    * The reach and distance figures come from the BFS level sizes alone:
+    * every target of ``g`` is a source at level 0, and a node at level
+    * k ≥ 1 is an end of one of ``g``'s triples, so it has a type row in
+    * ``g`` and is no target. Holds ``g``'s adjacency for the BFS and the
+    * entropy, and frees it before it returns or throws.
     */
   def measure(g: KG, targets: DataFrame, maxHops: Int = 10): Quality = {
     val st = g.stats
     val adj = g.adjacency().persist()
-    val held = ArrayBuffer[RDD[_]](adj)
     try {
       val part = adj.partitioner.get
       val tgt = NodeJoin.reduce(KG.ids(targets).map(id => (id, ())), part)((a, _) => a)
       val targetsIn = NodeJoin.join(KG.ids(g.nodeTypes).map(id => (id, ())).partitionBy(part), tgt).keys
       val (dist, sizes) = bfs(adj, targetsIn, maxHops)
-      held += dist
+      dist.unpersist(blocking = false)
       val nTargets = sizes.head
       val nNonTargets = st.nodes - nTargets
       // non-target nodes reached from the targets, and their distance sum
-      val (reached, distSum) = NodeJoin.probe(dist, tgt)((ds, t) => ds.filter { case (id, _) => !t.contains(id) })
-        .aggregate((0L, 0L))({ case ((n, s), (_, d)) => (n + 1, s + d) }, { case ((n, s), (m, u)) => (n + m, s + u) })
+      val reached = sizes.tail.sum
+      val distSum = sizes.indices.map(k => k * sizes(k)).sum
       Quality(
         nodes = st.nodes,
         targetPct = if (st.nodes == 0) 0.0 else 100.0 * nTargets.toDouble / st.nodes,
@@ -106,6 +108,6 @@ object SubgraphQuality {
         avgDistToTarget = if (reached == 0) 0.0 else distSum.toDouble / reached,
         avgEntropy = entropy(adj, g.nodeTypes),
       )
-    } finally held.foreach(_.unpersist(blocking = false))
+    } finally adj.unpersist(blocking = false)
   }
 }

@@ -17,20 +17,7 @@ final class BGPExecutor(store: TripleStore) {
   /** Execute a query; result columns are the projected variable names, all
     * LongType. Bag semantics (no implicit DISTINCT), as in SPARQL SELECT.
     */
-  def execute(q: Query): DataFrame = {
-    val bound = group(q.where)
-    val projected = q.projected.map(col)
-    var df = bound.select(projected: _*)
-    if (q.limit.isDefined || q.offset.isDefined) {
-      // LIMIT/OFFSET need a total order to be meaningful; order by all
-      // projected columns (deterministic given set semantics upstream).
-      df = df.orderBy(q.projected.map(col): _*)
-      // Dataset.offset/limit take an Int: an overflow fails loudly
-      q.offset.foreach(n => df = df.offset(Math.toIntExact(n)))
-      q.limit.foreach(n => df = df.limit(Math.toIntExact(n)))
-    }
-    df
-  }
+  def execute(q: Query): DataFrame = group(q.where).select(q.projected.map(col): _*)
 
   private def group(g: GroupPattern): DataFrame = g match {
     case BGP(patterns) =>

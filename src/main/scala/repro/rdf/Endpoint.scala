@@ -26,13 +26,6 @@ import org.apache.spark.sql.types.{LongType, StructField, StructType}
 final class Endpoint(val store: TripleStore, parallelism: Int = 8) {
   private val executor = new BGPExecutor(store)
 
-  /** Execute a query directly (no pagination). */
-  def select(q: Query): DataFrame = executor.execute(q)
-
-  /** Result cardinality under set semantics (``getGraphSize`` in Alg. 3). */
-  def count(q: Query): Long =
-    executor.execute(q.copy(limit = None, offset = None)).distinct().count()
-
   /** Paginated parallel execution per Algorithm 3 of one query. */
   def paginated(q: Query, bs: Long): (DataFrame, Int) = paginated(Seq(q), bs)
 
@@ -56,7 +49,7 @@ final class Endpoint(val store: TripleStore, parallelism: Int = 8) {
     // every subquery and keeps each one's rows contiguous
     val sortKey = "subquery" +: varsOut
     val sorted = qs.zipWithIndex.map { case (q, i) =>
-      executor.execute(q.copy(limit = None, offset = None)).select((lit(i) as "subquery") +: varsOut.map(col): _*)
+      executor.execute(q).select((lit(i) as "subquery") +: varsOut.map(col): _*)
     }.reduce(_ union _).orderBy(sortKey.map(col): _*).queryExecution.toRdd
       .mapPartitions(Endpoint.dropRepeats).persist()
     try {

@@ -1,7 +1,9 @@
 package repro.rdf
 
 /** AST for the SPARQL subset KG-TOSA's extraction queries use:
-  * ``SELECT``, basic graph patterns, ``UNION``, ``LIMIT``/``OFFSET``.
+  * ``SELECT``, basic graph patterns and ``UNION``. Algorithm 3's
+  * ``LIMIT``/``OFFSET`` windows are not query clauses here: they are the
+  * page slices of [[Endpoint.pagePlan]].
   *
   * IRI naming convention (resolved against the KG schema by the executor):
   *  - ``type:Name``  — node type ``Name``, an id range rather than a node:
@@ -38,12 +40,7 @@ final case class Union(branches: Seq[GroupPattern]) extends GroupPattern {
 }
 
 /** A SELECT query. Empty ``selectVars`` means ``SELECT *``. */
-final case class Query(
-    selectVars: Seq[String],
-    where: GroupPattern,
-    limit: Option[Long] = None,
-    offset: Option[Long] = None,
-) {
+final case class Query(selectVars: Seq[String], where: GroupPattern) {
   /** Projected variable names (explicit list, or all pattern vars for *). */
   def projected: Seq[String] = if (selectVars.nonEmpty) selectVars else where.vars
 }
@@ -64,8 +61,6 @@ object Sparql {
   /** Render a query to SPARQL text. */
   def render(q: Query): String = {
     val sel = if (q.selectVars.isEmpty) "*" else q.selectVars.map("?" + _).mkString(" ")
-    val lim = q.limit.map(n => s" LIMIT $n").getOrElse("")
-    val off = q.offset.map(n => s" OFFSET $n").getOrElse("")
-    s"SELECT $sel WHERE { ${group(q.where)} }$lim$off"
+    s"SELECT $sel WHERE { ${group(q.where)} }"
   }
 }

@@ -4,7 +4,7 @@ package repro.rdf
   *
   * Grammar:
   * {{{
-  * query    := SELECT ( '*' | var+ ) WHERE '{' body '}' (LIMIT int)? (OFFSET int)?
+  * query    := SELECT ( '*' | var+ ) WHERE '{' body '}'
   * body     := unionSeq | patterns
   * unionSeq := '{' body '}' (UNION '{' body '}')+   — or a single braced body
   * patterns := pattern ('.' pattern)* '.'?
@@ -22,7 +22,7 @@ object SparqlParser {
 
   // -- lexer ------------------------------------------------------------------
   private val tokenRe =
-    """\s*(SELECT|WHERE|UNION|LIMIT|OFFSET|\{|\}|\.|\*|\?[A-Za-z0-9_]+|<[^>\s]+>|a\b|\d+)""".r
+    """\s*(SELECT|WHERE|UNION|\{|\}|\.|\*|\?[A-Za-z0-9_]+|<[^>\s]+>|a\b)""".r
 
   private def tokenize(text: String): Vector[String] = {
     var pos = 0
@@ -64,16 +64,8 @@ object SparqlParser {
       expect("WHERE"); expect("{")
       val where = body()
       expect("}")
-      var limit: Option[Long] = None
-      var offset: Option[Long] = None
-      while (peek.exists(t => t == "LIMIT" || t == "OFFSET")) {
-        next() match {
-          case "LIMIT"  => limit = Some(next().toLong)
-          case "OFFSET" => offset = Some(next().toLong)
-        }
-      }
       require(peek.isEmpty, s"trailing tokens starting at '${peek.get}'")
-      Query(vars, where, limit, offset)
+      Query(vars, where)
     }
 
     private def body(): GroupPattern =

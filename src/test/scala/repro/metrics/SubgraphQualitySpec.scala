@@ -1,6 +1,8 @@
 package repro.metrics
 
 import org.apache.spark.sql.functions._
+import org.scalatest.concurrent.Eventually._
+import org.scalatest.time.SpanSugar._
 
 import repro.{Oracle, SparkSpec, TestKGs}
 import repro.kg.KG
@@ -61,6 +63,23 @@ class SubgraphQualitySpec extends SparkSpec {
     val q = SubgraphQuality.measure(star, hub)
     // dists: 1,1,1,2 → 1.25
     assert(math.abs(q.avgDistToTarget - 1.25) < 1e-9)
+  }
+
+  test("measure runs the stats job, one job per BFS level and the entropy job: 6 on the star") {
+    val (g, from) = (star, hub) // built outside the job group
+    val sc = spark.sparkContext
+    sc.setJobGroup("measure", "SubgraphQuality.measure")
+    try SubgraphQuality.measure(g, from)
+    finally sc.clearJobGroup()
+    // the status tracker hears of jobs in order: once it has seen a later
+    // job, it has seen every job of the call
+    sc.setJobGroup("measure-after", "marker")
+    try sc.parallelize(Seq(1), 1).count()
+    finally sc.clearJobGroup()
+    eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup("measure-after").nonEmpty))
+    // stats 1, BFS levels 0..3 (sizes 1, 3, 1, 0) 4, entropy 1
+    val jobs = sc.statusTracker.getJobIdsForGroup("measure").length
+    assert(jobs <= 6, s"$jobs jobs")
   }
 
   test("entropy of a uniform neighbour-count histogram is log2(bins)") {

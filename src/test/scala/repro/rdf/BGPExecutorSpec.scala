@@ -75,19 +75,6 @@ class BGPExecutorSpec extends SparkSpec {
     assert(got.count() == kg.triples.filter(col("s") === col("o")).count())
   }
 
-  test("LIMIT/OFFSET paginate a totally ordered result without loss") {
-    val base = run("SELECT ?s ?o WHERE { ?s <rel:livesIn> ?o }").distinct()
-    val total = base.count()
-    val page1 = run("SELECT ?s ?o WHERE { ?s <rel:livesIn> ?o } LIMIT 100")
-    assert(page1.count() == math.min(100, total))
-  }
-
-  test("LIMIT or OFFSET beyond Int range fails loudly instead of wrapping") {
-    // 2^32 wraps to 0 under toInt: LIMIT would return no rows, OFFSET skip none
-    for (clause <- Seq("LIMIT 4294967296", "OFFSET 4294967296"))
-      intercept[ArithmeticException](run(s"SELECT ?s ?o WHERE { ?s <rel:livesIn> ?o } $clause").count())
-  }
-
   test("two-hop chain joins share variables") {
     val got = run("SELECT ?a ?c WHERE { ?a <rel:livesIn> ?b . ?b <rel:cityInCountry> ?c }")
     val li = kg.schema.edgeType("livesIn").id

@@ -37,9 +37,7 @@ object SparqlProps extends Properties("Sparql") {
       nSel <- Gen.chooseNum(0, 3)
       sel <- Gen.listOfN(nSel, genVarName)
       g <- genGroup
-      lim <- Gen.option(Gen.chooseNum(1L, 1000L))
-      off <- Gen.option(Gen.chooseNum(0L, 1000L))
-    } yield Query(sel.distinct, g, lim, off)
+    } yield Query(sel.distinct, g)
 
   property("parse(render(q)) == q") = Prop.forAll(genQuery) { q =>
     SparqlParser.parse(Sparql.render(q)) == q
