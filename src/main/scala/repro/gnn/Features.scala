@@ -1,9 +1,10 @@
 package repro.gnn
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.Partitioner
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{DoubleType, LongType, StructField, StructType}
 
-import repro.kg.KG
+import repro.kg.{KG, KGSchema}
 
 /** Planted node features.
   *
@@ -31,26 +32,41 @@ object Features {
   /** Feature width for a graph. */
   def dim(g: KG): Int = g.schema.communities
 
-  /** Features for every node of ``g``: DF ``(id, f0..f{F-1})``.
-    * Deterministic in (schema, seed).
+  /** The features of a node from its id and type: ``f_j`` is the node's
+    * community indicator at ``j`` (signal types only) plus uniform noise in
+    * ±sigma/2, drawn by [[KG.bucket]] with salt ``seed·131 + j``. The one
+    * definition behind [[nodeFeatures]] and [[vectors]]. Deterministic in
+    * (schema, seed).
     *
-    * @param sigma noise amplitude (uniform in ±sigma/2)
+    * @param sigma noise amplitude
     */
-  def nodeFeatures(g: KG, seed: Int = 5, sigma: Double = 0.6): DataFrame = {
-    val schema = g.schema
-    val f = dim(g)
+  def row(schema: KGSchema, seed: Int = 5, sigma: Double = 0.6): (Long, Int) => Array[Double] = {
+    val f = schema.communities
     val signalIds = signalTypesFor(schema.name).map(schema.nodeType(_).id).toSet
-
     // per-type offset and signal flag, looked up by ntype (= index in the schema)
-    val offset = typedLit(schema.nodeTypes.map(_.offset)).getItem(col("ntype"))
-    val signal = typedLit(schema.nodeTypes.map(t => if (signalIds.contains(t.id)) 1.0 else 0.0)).getItem(col("ntype"))
-
-    val comm = pmod(col("id") - offset, lit(schema.communities.toLong))
-    val cols: Seq[Column] = (0 until f).map { j =>
-      val indicator = when(comm === j, 1.0).otherwise(0.0) * signal
-      val noise = (KG.hashRand(seed * 131 + j, col("id")) - 0.5) * sigma
-      (indicator + noise) as s"f$j"
+    val offset = schema.nodeTypes.map(_.offset).toArray
+    val signal = schema.nodeTypes.map(t => if (signalIds.contains(t.id)) 1.0 else 0.0).toArray
+    (id, ntype) => {
+      val comm = Math.floorMod(id - offset(ntype), f.toLong)
+      Array.tabulate(f) { j =>
+        val indicator = (if (comm == j) 1.0 else 0.0) * signal(ntype)
+        indicator + (KG.uniform(KG.bucket(seed * 131 + j, id)) - 0.5) * sigma
+      }
     }
-    g.nodeTypes.select(col("id") +: cols: _*)
+  }
+
+  /** Features for every node of ``g``: DF ``(id, f0..f{F-1})`` of [[row]]. */
+  def nodeFeatures(g: KG, seed: Int = 5, sigma: Double = 0.6): DataFrame = {
+    val feature = row(g.schema, seed, sigma)
+    val schema = StructType(StructField("id", LongType, nullable = false) +:
+      (0 until dim(g)).map(j => StructField(s"f$j", DoubleType)))
+    g.nodeTypes.sparkSession.createDataFrame(
+      g.nodeRows.map { case (id, t) => Row.fromSeq(id +: feature(id, t).toSeq) }, schema)
+  }
+
+  /** [[row]] of every node of ``g`` as vectors under ``part``. */
+  def vectors(g: KG, part: Partitioner): Aggregation.Vectors = {
+    val feature = row(g.schema)
+    g.nodeRows.map { case (id, t) => (id, feature(id, t)) }.partitionBy(part)
   }
 }

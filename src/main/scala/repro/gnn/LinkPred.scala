@@ -3,8 +3,6 @@ package repro.gnn
 import scala.collection.mutable
 import scala.util.Random
 
-import org.apache.spark.sql.functions.{col, lit}
-
 import repro.kg.KG
 import repro.synth.LPTask
 import repro.timed
@@ -61,15 +59,19 @@ object LinkPred {
     */
   private val ProjBound = 1.0
 
-  /** Salt of the holdout hash, ``KG.hashRand(HoldoutSalt, s, o)``. */
+  /** Salt of the holdout draw, ``KG.bucket(HoldoutSalt, s, o)``. */
   private val HoldoutSalt = 9002
 
   /** Every triple of ``g`` with its holdout bucket,
-    * ``(s, p, o, hashBucket(HoldoutSalt, s, o))``: one Spark job.
+    * ``(s, p, o, KG.bucket(HoldoutSalt, s, o))``: one Spark job over the
+    * triples' rows, each partition shipped as primitive arrays.
     */
   def read(g: KG): Array[(Long, Int, Long, Int)] =
-    g.triples.select(col("s"), col("p"), col("o"), KG.hashBucket(lit(HoldoutSalt), col("s"), col("o")))
-      .collect().map(r => (r.getLong(0), r.getInt(1), r.getLong(2), r.getInt(3)))
+    g.tripleRows.mapPartitions { rows =>
+      val (s, p, o) = (mutable.ArrayBuilder.make[Long], mutable.ArrayBuilder.make[Int], mutable.ArrayBuilder.make[Long])
+      rows.foreach { t => s += t._1; p += t._2; o += t._3 }
+      Iterator((s.result(), p.result(), o.result()))
+    }.collect().flatMap { case (s, p, o) => s.indices.map(i => (s(i), p(i), o(i), KG.bucket(HoldoutSalt, s(i), o(i)))) }
 
   /** Share of the predicate's ``nPred`` edges held out for testing. Table
     * II's test ratios (0.3–3.5%) leave single-digit eval sets at 1/1000
@@ -84,8 +86,7 @@ object LinkPred {
   /** Split [[read]]'s rows into train and test, sort both and index their
     * nodes; pure and independent of the training seed. An edge of
     * predicate ``pred`` is held out when its hash draw, ``KG.uniform`` of
-    * its bucket, is at least ``1 - evalFrac``: the driver twin of the
-    * Spark filter ``KG.hashRand(HoldoutSalt, s, o) >= 1 - evalFrac``.
+    * its bucket, is at least ``1 - evalFrac``.
     * Sorting makes the index order, the initial embeddings and the SGD
     * order depend on the triples, not on the order the rows were read in.
     */

@@ -6,9 +6,8 @@ import scala.collection.mutable.ArrayBuffer
 
 import org.apache.spark.HashPartitioner
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.functions._
 
-import repro.kg.{KG, NodeTypeInfo}
+import repro.kg.{KG, KGStats, NodeTypeInfo}
 import repro.sampling.RandomWalk
 import repro.synth.{NCTask, Tasks}
 import repro.timed
@@ -59,24 +58,21 @@ object Trainers {
   val methods: Seq[String] = Seq("SeHGNN", "GraphSAINT", "ShaDowSAINT")
 
   /** The task's targets in ``g``, in id order, with their ``h0`` rows,
-    * labels and folds (0 = train, 1 = valid, 2 = test): one SQL collect per
-    * graph. Label and fold are column expressions of ``id``
-    * (``Tasks.labelAndFold``); the fold is collected, not a filter literal,
-    * so every call runs the same code.
+    * labels and folds (0 = train, 1 = valid, 2 = test). One RDD job reads
+    * the targets' ids and types, with ``g``'s [[KGStats]] from the same pass
+    * ([[KG.statsAndNodes]]); ``h0`` ([[Features.row]]), label and fold
+    * ([[Tasks.labelAndFold]]) are functions of the id, computed on the
+    * driver.
     */
   private final case class Targets(kind: NodeTypeInfo, dim: Int, ids: Array[Long], h0: Array[Array[Double]],
                                    label: Array[Int], fold: Array[Int])
 
-  private def targetsOf(g: KG, task: NCTask): Targets = {
+  private def targetsOf(g: KG, task: NCTask): (Targets, KGStats) = {
     val kind = g.schema.nodeType(task.targetType)
-    val (label, foldOf) = Tasks.labelAndFold(g.schema, task)
-    val feats = Features.nodeFeatures(g)
-    val fs = feats.columns.filter(_ != "id").map(col).toSeq
-    val rows = feats.filter(kind.contains(col("id")))
-      .select((col("id") +: fs :+ label :+ foldOf): _*).collect().sortBy(_.getLong(0))
-    val d = fs.size
-    Targets(kind, d, rows.map(_.getLong(0)), rows.map(r => Array.tabulate(d)(j => r.getDouble(j + 1))),
-      rows.map(_.getInt(d + 1)), rows.map(_.getInt(d + 2)))
+    val (st, nodes) = g.statsAndNodes(kind)
+    val (feature, draw) = (Features.row(g.schema), Tasks.labelAndFold(g.schema, task))
+    val (label, fold) = nodes.map { case (id, _) => draw(id) }.unzip
+    (Targets(kind, Features.dim(g), nodes.map(_._1), nodes.map { case (id, t) => feature(id, t) }, label, fold), st)
   }
 
   /** (features, labels) of the targets ``t`` whose id passes ``in``, split by
@@ -235,8 +231,8 @@ object Trainers {
       // one adjacency and one feature table, shared by the walks, the batches
       // and inference (lazy: built inside the training timer)
       lazy val adj = keep(Aggregation.adjacency(g, part, cap, p.seed))
-      lazy val feats = keep(Aggregation.vectors(Features.nodeFeatures(g), part))
-      lazy val targets = targetsOf(g, task)
+      lazy val feats = keep(Features.vectors(g, part))
+      lazy val (targets, st) = targetsOf(g, task)
       lazy val fullXY = collectXY(targets, Aggregation.hops(adj, feats, p.l), all)
 
       // --- gather training batches (Spark message passing) -----------------
@@ -263,15 +259,13 @@ object Trainers {
       val ((testX, testY), inferSecs) = timed {
         evalGraph match {
           case Some(e) =>
-            val hs = Aggregation.hops(Aggregation.adjacency(e, part, cap, p.seed),
-              Aggregation.vectors(Features.nodeFeatures(e), part), p.l)
-            collectXY(targetsOf(e, task), hs, all)(2)
+            val hs = Aggregation.hops(Aggregation.adjacency(e, part, cap, p.seed), Features.vectors(e, part), p.l)
+            collectXY(targetsOf(e, task)._1, hs, all)(2)
           case None => fullXY(2)
         }
       }
       val acc = accuracyOf(head, testX, testY)
 
-      val st = g.stats
       val (n, m, r) = (st.nodes, st.edges, st.eTypes)
       val batchNodes = (p.rootsPerBatch.toLong * (p.walkLen + 1)).min(n)
 

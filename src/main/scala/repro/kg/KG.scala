@@ -4,7 +4,7 @@ import scala.collection.mutable
 
 import org.apache.spark.{HashPartitioner, Partitioner}
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import org.apache.spark.unsafe.hash.Murmur3_x86_32
 
@@ -45,9 +45,31 @@ final case class KG(schema: KGSchema, triples: DataFrame, nodeTypes: DataFrame) 
   /** Table I statistics, computed from the data (not the schema) so tests
     * catch generator bugs such as empty types or dropped predicates.
     */
-  def stats: KGStats = {
-    val Seq(e, n) = KG.countsBy(triples -> "p", nodeTypes -> "ntype")
-    KGStats(n.values.sum, e.values.sum, n.size.toLong, e.size.toLong)
+  def stats: KGStats = statsAnd(None)._1
+
+  /** [[stats]] and, read by its one Spark job, the ``(id, ntype)`` rows of
+    * the nodes in ``t``'s range, sorted by id: what a trainer needs of its
+    * targets and of the graph, in one pass over both tables.
+    */
+  def statsAndNodes(t: NodeTypeInfo): (KGStats, Array[(Long, Int)]) = statsAnd(Some(t))
+
+  private def statsAnd(t: Option[NodeTypeInfo]): (KGStats, Array[(Long, Int)]) = {
+    val (Seq(e, n), picked) = KG.tally(Seq(triples -> "p", nodeTypes -> "ntype"), t)
+    (KGStats(n.values.sum, e.values.sum, n.size.toLong, e.size.toLong), picked.sortBy(_._1))
+  }
+
+  /** The triples as ``(s, p, o)``, read from the table's rows with no
+    * projection: an RDD job over them plans no query of its own.
+    */
+  def tripleRows: RDD[(Long, Int, Long)] = {
+    val Seq(s, p, o) = Seq("s", "p", "o").map(triples.schema.fieldIndex)
+    triples.queryExecution.toRdd.map(r => (r.getLong(s), r.getInt(p), r.getLong(o)))
+  }
+
+  /** The node-type table as ``(id, ntype)``, read as [[tripleRows]] is. */
+  def nodeRows: RDD[(Long, Int)] = {
+    val Seq(id, t) = Seq("id", "ntype").map(nodeTypes.schema.fieldIndex)
+    nodeTypes.queryExecution.toRdd.map(r => (r.getLong(id), r.getInt(t)))
   }
 
   /** The undirected adjacency as ``(v, u)`` pairs (a message from ``v`` to
@@ -58,9 +80,7 @@ final case class KG(schema: KGSchema, triples: DataFrame, nodeTypes: DataFrame) 
     */
   def adjacency(part: Partitioner = new HashPartitioner(triples.sparkSession.sparkContext.defaultParallelism))
       : RDD[(Long, Long)] =
-    triples.select(col("s"), col("o")).queryExecution.toRdd
-      .flatMap { r => val (s, o) = (r.getLong(0), r.getLong(1)); Iterator((s, o), (o, s)) }
-      .partitionBy(part)
+    tripleRows.flatMap { case (s, _, o) => Iterator((s, o), (o, s)) }.partitionBy(part)
 
   /** Node ids of one node type (by name) as a single-column DF ``id``. */
   def nodesOfType(typeName: String): DataFrame =
@@ -84,41 +104,45 @@ object KG {
     * and no aggregation query: the only generated code reads the tables'
     * rows, as every full read of them does (DESIGN.md §5.5).
     */
-  def countsBy(tables: (DataFrame, String)*): Seq[Map[Int, Long]] = {
+  def countsBy(tables: (DataFrame, String)*): Seq[Map[Int, Long]] = tally(tables, None)._1
+
+  /** [[countsBy]] of ``tables`` and, from the same job, the ``(id, c)`` rows
+    * of the last table (``c`` its counted column) whose long column ``id``
+    * lies in ``pick``'s range, in no particular order.
+    */
+  private def tally(tables: Seq[(DataFrame, String)], pick: Option[NodeTypeInfo])
+      : (Seq[Map[Int, Long]], Array[(Long, Int)]) = {
     val perPartition = tables.zipWithIndex.map { case ((df, c), t) =>
       val i = df.schema.fieldIndex(c)
+      val keep = pick.filter(_ => t == tables.size - 1).map(r => (r, df.schema.fieldIndex("id")))
       df.queryExecution.toRdd.mapPartitions { rows =>
         val m = mutable.HashMap.empty[Int, Long]
-        rows.foreach { r => val k = r.getInt(i); m(k) = m.getOrElse(k, 0L) + 1 }
-        Iterator(t -> m.toMap)
+        val picked = mutable.ArrayBuffer.empty[(Long, Int)]
+        rows.foreach { r =>
+          val k = r.getInt(i)
+          m(k) = m.getOrElse(k, 0L) + 1
+          for ((range, id) <- keep if range.contains(r.getLong(id))) picked += ((r.getLong(id), k))
+        }
+        Iterator((t, m.toMap, picked.toArray))
       }
     }
     val counted = tables.head._1.sparkSession.sparkContext.union(perPartition).collect()
-    tables.indices.map(t => counted.iterator.filter(_._1 == t).map(_._2).foldLeft(Map.empty[Int, Long]) { (acc, m) =>
+    val counts = tables.indices.map(t => counted.iterator.filter(_._1 == t).map(_._2).foldLeft(Map.empty[Int, Long]) { (acc, m) =>
       m.foldLeft(acc) { case (a, (k, n)) => a.updated(k, a.getOrElse(k, 0L) + n) }
     })
+    (counts, counted.flatMap(_._3))
   }
 
-  /** Deterministic uniform(0,1) pseudo-random from arbitrary columns —
-    * unlike ``rand()`` it does not depend on partitioning, so generators
-    * and samplers are reproducible across sessions and parallelism levels.
-    */
-  def hashRand(salt: Int, cols: Column*): Column =
-    centre[Column](hashBucket(lit(salt), cols: _*).cast("double"), _ + _, _ / _)
-
-  /** The integer behind [[hashRand]]: one of a million buckets, ordered as
-    * the uniform draw is.
-    */
-  def hashBucket(salt: Column, cols: Column*): Column = pmod(hash((cols :+ salt): _*), lit(HashBuckets))
-
-  /** [[hashBucket]] of a salt and one long column, computed in plain Scala
-    * (on the driver or in an RDD closure): Spark's ``hash`` is Murmur3 x86_32
-    * with seed 42 folded over the columns in order, the salt (an int) last,
-    * so this equals the Column's bucket bit for bit.
+  /** The hash draw's integer: one of a million buckets of a salt and one
+    * long, in plain Scala (on the driver or in an RDD closure). It is
+    * Spark's ``pmod(hash(a, salt), 1000000)``: Murmur3 x86_32 with seed 42
+    * folded over the values in order, the salt (an int) last. Every
+    * generator, sampler and split draws through it, so a draw does not
+    * depend on partitioning and is reproducible across sessions.
     */
   def bucket(salt: Int, a: Long): Int = finish(salt, Murmur3_x86_32.hashLong(a, HashSeed))
 
-  /** [[bucket]] of a salt and two long columns, in that order. */
+  /** [[bucket]] of a salt and two longs, in that order. */
   def bucket(salt: Int, a: Long, b: Long): Int =
     finish(salt, Murmur3_x86_32.hashLong(b, Murmur3_x86_32.hashLong(a, HashSeed)))
 
@@ -126,17 +150,10 @@ object KG {
 
   private val HashSeed = 42
 
-  /** [[hashRand]] of a collected [[hashBucket]] value, on the driver: the
-    * same IEEE operations Spark runs, so a driver-side comparison decides
-    * exactly as the Column one.
+  /** The uniform(0, 1) draw of a [[bucket]]: the centre of the bucket's
+    * interval, ``(bucket + 0.5) / 1e6``, ordered as the buckets are.
     */
-  def uniform(bucket: Int): Double = centre[Double](bucket.toDouble, _ + _, _ / _)
-
-  /** Bucket → uniform(0,1), the centre of the bucket's interval: the one
-    * formula behind [[hashRand]] and [[uniform]].
-    */
-  private def centre[A](bucket: A, plus: (A, Double) => A, div: (A, Double) => A): A =
-    div(plus(bucket, 0.5), HashBuckets.toDouble)
+  def uniform(bucket: Int): Double = (bucket.toDouble + 0.5) / HashBuckets.toDouble
 
   private val HashBuckets = 1000000
 }

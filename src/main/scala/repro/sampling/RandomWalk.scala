@@ -13,8 +13,8 @@ import repro.kg.KG
   * Each root spawns one walker; every step each live walker moves to one
   * uniformly-chosen neighbour on [[KG.adjacency]], each edge both ways
   * (GraphSAINT's walk semantics). All randomness is hash-based
-  * ([[KG.bucket]], the twin of the Column ``KG.hashBucket``), so a walk is a
-  * pure function of (graph, roots, h, seed), whatever the partitioning.
+  * ([[KG.bucket]]), so a walk is a pure function of (graph, roots, h,
+  * seed), whatever the partitioning.
   */
 object RandomWalk {
 

@@ -1,7 +1,7 @@
 package repro.synth
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
 
 import repro.kg.{EdgeTypeInfo, KG, KGSchema, NodeTypeInfo}
 
@@ -43,8 +43,9 @@ final case class KGSpec(
   * except ogbl-wikikg2, whose 9.3K node types cannot fit in a 2.5K-node
   * scale-down — substituted with 125 types (documented in DESIGN.md).
   *
-  * All randomness is hash-based ([[KG.hashRand]]): the generated graph is a
-  * pure function of (spec, scale), independent of partitioning.
+  * All randomness is hash-based ([[KG.bucket]]): the generated graph is a
+  * pure function of (spec, scale) and of the session's parallelism, which
+  * sets only how its rows are laid out over partitions.
   */
 object KGBench {
 
@@ -90,99 +91,117 @@ object KGBench {
     KGSchema(spec.name, nodeInfos, (coreEdgeInfos ++ fillEdgeInfos).toIndexedSeq, spec.communities)
   }
 
-  /** Column-level zipf draw: maps a uniform(0,1) column ``u`` to a 0-based
-    * rank in ``[0, nKeys)`` with P(rank k) ∝ (k+1)^-alpha (Pareto inverse-CDF
+  /** Zipf draw: maps a uniform(0,1) ``u`` to a 0-based rank in
+    * ``[0, nKeys)`` with P(rank k) ∝ (k+1)^-alpha (Pareto inverse-CDF
     * approximation). Plants the hub-skewed degree distributions.
+    * ``StrictMath.pow``, as Spark's ``pow`` uses, so the ranks match the
+    * Column form the tests keep as an oracle.
     */
-  def zipfExpr(u: Column, nKeys: Long, alpha: Double): Column =
-    least(lit(nKeys - 1),
-          greatest(lit(0L),
-            (pow(lit(1.0) / (u + 1e-9), lit(1.0 / alpha)) - 1.0).cast("long")))
+  def zipf(u: Double, nKeys: Long, alpha: Double): Long =
+    math.min(nKeys - 1, math.max(0L, (StrictMath.pow(1.0 / (u + 1e-9), 1.0 / alpha) - 1.0).toLong))
 
-  /** Community of an id column: round-robin stripe within the type range
-    * (must match [[KGSchema.communityOf]]).
+  /** A rank in ``[0, n)`` from the uniform ``u``: zipf-skewed when ``alpha``
+    * is positive, uniform otherwise.
     */
-  private def commCol(s: Column, t: NodeTypeInfo, c: Int): Column =
-    pmod(s - t.offset, lit(c.toLong)).cast("int")
+  private def rank(u: Double, n: Long, alpha: Double): Long =
+    if (alpha > 0) zipf(u, n, alpha) else math.floor(u * n).toLong
 
-  /** A destination id in type range ``dt`` belonging to community ``comm``:
-    * the stripe ``dt.offset + comm + c*k`` for a block index ``k``. When the
-    * edge type is zipf-skewed the block index is zipf-drawn too, so each
-    * community's neighbours concentrate on hub entities — real KGs share
-    * signal neighbours across targets, which is what makes task-oriented
-    * subgraphs overlap-compact and transductively learnable.
-    * Clamped into the range for types smaller than the community count.
+  /** The rows of a table made of id ranges ``[lo, hi)``, each with its row
+    * function, laid out as Spark lays out the union of their
+    * ``spark.range``s coalesced to ``defaultParallelism`` partitions: each
+    * range is cut into ``defaultParallelism`` slices at
+    * ``lo + i·(hi - lo)/slices``, and the slices, in order, are grouped by
+    * position, as ``coalesce`` groups partitions that prefer no host. The
+    * layout fixes each partition's rows and their order, and with them the
+    * summation order of every aggregation over the KG.
     */
-  private def affinityDst(comm: Column, u: Column, dt: NodeTypeInfo, c: Int, zipf: Double): Column = {
-    val blocks = math.max(1L, dt.count / c)
-    val block = if (zipf > 0) zipfExpr(u, blocks, zipf) else floor(u * blocks).cast("long")
-    least(lit(dt.offset + dt.count - 1),
-          (lit(dt.offset) + comm + block * c).cast("long"))
+  private def rangeTable(spark: SparkSession, schema: StructType,
+                         ranges: Seq[(Long, Long, Long => Row)]): DataFrame = {
+    val n = spark.sparkContext.defaultParallelism
+    val slices = ranges.zipWithIndex.flatMap { case ((lo, hi, _), r) =>
+      (0 until n).map(i => (r, lo + i * (hi - lo) / n, lo + (i + 1) * (hi - lo) / n))
+    }
+    val groups = (0 until n).map(g => slices.slice(g * slices.size / n, (g + 1) * slices.size / n))
+    val rowOf = ranges.map(_._3)
+    val rows = spark.sparkContext.parallelize(groups, groups.size).flatMap { group =>
+      group.iterator.flatMap { case (r, lo, hi) => Iterator.range(0, (hi - lo).toInt).map(k => rowOf(r)(lo + k)) }
+    }
+    spark.createDataFrame(rows, schema)
   }
 
-  /** Generate the KG for a spec at a scale. Deterministic in (spec, scale). */
+  // The nullability of the former Column generator's output: every plan over
+  // the tables, and the code it generates, stays the one it was.
+  private val TripleSchema = StructType(Seq(StructField("s", LongType), StructField("p", IntegerType),
+    StructField("o", LongType)))
+
+  private val NodeTypeSchema = StructType(Seq(StructField("id", LongType, nullable = false),
+    StructField("ntype", IntegerType)))
+
+  /** Generate the KG for a spec at a scale. Deterministic in (spec, scale).
+    *
+    * Each edge type is a range of edge ids, and each row a function of its
+    * id through [[KG.bucket]] draws. A core edge draws its source uniformly
+    * in the source type; with probability ``affinity`` its destination lies
+    * in the source's community stripe (``dst.offset + comm + c·block``, the
+    * block index zipf-drawn when the edge type is zipf-skewed, so each
+    * community's neighbours concentrate on hub entities), otherwise it is
+    * drawn over the whole destination type. Filler edges derive their type
+    * arithmetically from the id.
+    */
   def generate(spark: SparkSession, spec: KGSpec, scale: Double = 1.0): KG = {
     val schema = schemaFor(spec, scale)
     val c = spec.communities
 
-    // -- core edges: one small DF per named edge type ----------------------
-    val coreDfs = spec.coreEdges.zipWithIndex.map { case (ce, i) =>
+    // -- core edges: one id range per named edge type -----------------------
+    val coreRanges = spec.coreEdges.zipWithIndex.map { case (ce, i) =>
       val info = schema.edgeTypes(i)
       val st = schema.nodeTypes(info.srcType)
       val dt = schema.nodeTypes(info.dstType)
-      val n = sc(ce.count, scale)
       val salt = spec.seed * 1000 + i * 10
-      val u1 = KG.hashRand(salt + 1, col("id"))
-      val u2 = KG.hashRand(salt + 2, col("id"))
-      val u3 = KG.hashRand(salt + 3, col("id"))
-      val u4 = KG.hashRand(salt + 4, col("id"))
-      val src = (lit(st.offset) + floor(u1 * st.count)).cast("long")
-      val comm = commCol(src, st, c)
-      val baseDst =
-        if (ce.zipf > 0) lit(dt.offset) + zipfExpr(u2, dt.count, ce.zipf)
-        else (lit(dt.offset) + floor(u2 * dt.count)).cast("long")
-      val affDst = affinityDst(comm, u3, dt, c, ce.zipf)
-      val dst = when(u4 < ce.affinity, affDst).otherwise(baseDst)
-      spark.range(n).select(src as "s", lit(info.id) as "p", dst.cast("long") as "o")
+      val blocks = math.max(1L, dt.count / c)
+      (0L, sc(ce.count, scale), (id: Long) => {
+        def u(k: Int) = KG.uniform(KG.bucket(salt + k, id))
+        val src = st.offset + math.floor(u(1) * st.count).toLong
+        val comm = Math.floorMod(src - st.offset, c.toLong)
+        val dst =
+          if (u(4) < ce.affinity) math.min(dt.offset + dt.count - 1, dt.offset + comm + rank(u(3), blocks, ce.zipf) * c)
+          else dt.offset + rank(u(2), dt.count, ce.zipf)
+        Row(src, info.id, dst)
+      })
     }
 
-    // -- filler edges: one DF, edge type derived arithmetically ------------
+    // -- filler edges: one range, edge type derived arithmetically ----------
     val fT = spec.filler.nTypes
     val fE = spec.filler.eTypes
     val perNode = sc(spec.filler.nodesPerType, scale)
     val perEdge = sc(spec.filler.edgesPerType, scale)
     val fillerNodeBase = schema.nodeTypes(spec.coreNodes.size).offset
-    val fillerDf = if (fE == 0) None else Some {
+    val fillerRange = if (fE == 0) None else Some {
       val salt = spec.seed * 1000 + 777
-      val j = (col("id") % fE).cast("int")
-      val u1 = KG.hashRand(salt + 1, col("id"))
-      val u2 = KG.hashRand(salt + 2, col("id"))
-      val srcOff = lit(fillerNodeBase) + (j % fT).cast("long") * perNode
-      val dstOff = lit(fillerNodeBase) + ((j * 7 + 3) % fT).cast("long") * perNode
-      spark.range(fE.toLong * perEdge).select(
-        (srcOff + floor(u1 * perNode)).cast("long") as "s",
-        (lit(spec.coreEdges.size) + j).cast("int") as "p",
-        (dstOff + floor(u2 * perNode)).cast("long") as "o",
-      )
+      val p0 = spec.coreEdges.size
+      (0L, fE.toLong * perEdge, (id: Long) => {
+        def u(k: Int) = KG.uniform(KG.bucket(salt + k, id))
+        val j = (id % fE).toInt
+        Row(fillerNodeBase + (j % fT).toLong * perNode + math.floor(u(1) * perNode).toLong,
+          p0 + j,
+          fillerNodeBase + ((j * 7 + 3) % fT).toLong * perNode + math.floor(u(2) * perNode).toLong)
+      })
     }
 
-    val triples = (coreDfs ++ fillerDf).reduce(_ union _)
-
-    // -- node-type table ----------------------------------------------------
-    val coreNodesDf = schema.nodeTypes.take(spec.coreNodes.size).map { t =>
-      spark.range(t.offset, t.offset + t.count).select(col("id"), lit(t.id) as "ntype")
+    // -- node-type table: one range per core type, one for the fillers -------
+    val coreNodeRanges = schema.nodeTypes.take(spec.coreNodes.size).map { t =>
+      (t.offset, t.offset + t.count, (id: Long) => Row(id, t.id))
     }
-    val fillerNodesDf =
+    val fillerNodeRange =
       if (fT == 0) None
       else Some {
-        spark.range(fillerNodeBase, fillerNodeBase + fT.toLong * perNode).select(
-          col("id"),
-          (lit(spec.coreNodes.size) + floor((col("id") - fillerNodeBase) / perNode)).cast("int") as "ntype",
-        )
+        val t0 = spec.coreNodes.size
+        (fillerNodeBase, fillerNodeBase + fT.toLong * perNode,
+          (id: Long) => Row(id, (t0 + math.floor((id - fillerNodeBase).toDouble / perNode).toLong).toInt))
       }
-    val nodeTypes = (coreNodesDf ++ fillerNodesDf).reduce(_ union _)
 
-    KG(schema, triples, nodeTypes)
+    KG(schema, rangeTable(spark, TripleSchema, coreRanges ++ fillerRange),
+      rangeTable(spark, NodeTypeSchema, coreNodeRanges ++ fillerNodeRange))
   }
 
   // =========================================================================

@@ -1,7 +1,7 @@
 package repro.synth
 
-import org.apache.spark.sql.{Column, DataFrame}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{IntegerType, LongType, StructField, StructType}
 
 import repro.kg.{KG, KGSchema}
 
@@ -70,47 +70,54 @@ object Tasks {
   /** Target vertices ``V_T`` of an NC task as a single-column DF ``id``. */
   def targets(kg: KG, task: NCTask): DataFrame = kg.nodesOfType(task.targetType)
 
-  /** Fold column: 0 = train, 1 = valid, 2 = test, from a position or hash
+  /** Fold: 0 = train, 1 = valid, 2 = test, from a position or hash
     * quantile ``q`` in [0,1) and the task ratios.
     */
-  private def foldCol(q: Column, ratios: (Double, Double, Double)) =
-    when(q < ratios._1, 0).when(q < ratios._1 + ratios._2, 1).otherwise(2)
+  private def foldOf(q: Double, ratios: (Double, Double, Double)): Int =
+    if (q < ratios._1) 0 else if (q < ratios._1 + ratios._2) 1 else 2
 
-  /** Label and fold of an NC task as column expressions of the node id
-    * ``id`` (meaningful on ``V_T``): label = planted community mod
-    * ``numLabels``; fold per the task's split kind and ratios.
+  /** Label and fold of an NC task as a function of the node id (meaningful
+    * on ``V_T``): label = planted community mod ``numLabels``; fold per the
+    * task's split kind and ratios, a time split by the id's position in its
+    * type range and a random one by the [[KG.bucket]] draw with salt 9001.
     * Deterministic in (schema, task).
     */
-  def labelAndFold(schema: KGSchema, task: NCTask): (Column, Column) = {
+  def labelAndFold(schema: KGSchema, task: NCTask): Long => (Int, Int) = {
     val t = schema.nodeType(task.targetType)
-    val comm = pmod(col("id") - t.offset, lit(schema.communities.toLong)).cast("int")
-    val q = task.split match {
-      case TimeSplit   => (col("id") - t.offset).cast("double") / t.count
-      case RandomSplit => KG.hashRand(9001, col("id"))
+    val c = schema.communities.toLong
+    id => {
+      val q = task.split match {
+        case TimeSplit   => (id - t.offset).toDouble / t.count
+        case RandomSplit => KG.uniform(KG.bucket(9001, id))
+      }
+      (Math.floorMod(Math.floorMod(id - t.offset, c).toInt, task.numLabels), foldOf(q, task.ratios))
     }
-    (pmod(comm, lit(task.numLabels)), foldCol(q, task.ratios))
   }
 
   /** Labels + folds for an NC task: DF ``(id, label, fold)`` over ``V_T``,
     * from [[labelAndFold]].
     */
   def labeledSplit(kg: KG, task: NCTask): DataFrame = {
-    val (label, fold) = labelAndFold(kg.schema, task)
-    targets(kg, task).select(col("id"), label as "label", fold as "fold")
+    val (t, draw) = (kg.schema.nodeType(task.targetType), labelAndFold(kg.schema, task))
+    val rows = kg.nodeRows.collect { case (id, _) if t.contains(id) => val (label, fold) = draw(id); Row(id, label, fold) }
+    kg.nodeTypes.sparkSession.createDataFrame(rows, StructType(Seq(StructField("id", LongType, nullable = false),
+      StructField("label", IntegerType), StructField("fold", IntegerType, nullable = false))))
   }
 
   /** Edge folds for an LP task: DF ``(s, p, o, fold)`` over the target
-    * predicate's triples. Both splits hash the endpoint pair ``(s, o)``,
-    * with salt 9002 for a time split and 9003 for a random one. Unlike a
-    * node, an edge has no id position to stand in for time.
+    * predicate's triples. Both splits draw on the endpoint pair ``(s, o)``
+    * ([[KG.bucket]]), with salt 9002 for a time split and 9003 for a random
+    * one. Unlike a node, an edge has no id position to stand in for time.
     */
   def lpSplit(kg: KG, task: LPTask): DataFrame = {
-    val p = kg.schema.edgeType(task.predicate)
-    val edges = kg.triples.filter(col("p") === p.id)
-    val q = task.split match {
-      case TimeSplit   => KG.hashRand(9002, col("s"), col("o"))
-      case RandomSplit => KG.hashRand(9003, col("s"), col("o"))
+    val p = kg.schema.edgeType(task.predicate).id
+    val salt = task.split match {
+      case TimeSplit   => 9002
+      case RandomSplit => 9003
     }
-    edges.select(col("s"), col("p"), col("o"), foldCol(q, task.ratios) as "fold")
+    val rows = kg.tripleRows.filter(_._2 == p)
+      .map { case (s, _, o) => Row(s, p, o, foldOf(KG.uniform(KG.bucket(salt, s, o)), task.ratios)) }
+    kg.triples.sparkSession.createDataFrame(rows, StructType(Seq(StructField("s", LongType),
+      StructField("p", IntegerType), StructField("o", LongType), StructField("fold", IntegerType, nullable = false))))
   }
 }

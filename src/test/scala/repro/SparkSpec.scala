@@ -1,8 +1,12 @@
 package repro
 
+import java.util.concurrent.atomic.AtomicInteger
+
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
+import org.scalatest.concurrent.Eventually._
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.SpanSugar._
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -16,9 +20,28 @@ trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
 
   override def afterAll(): Unit = { super.afterAll() }
+
+  /** ``body``'s result and the number of Spark jobs it ran. Build what it
+    * reads but does not measure (a shared KG, say) before the call.
+    */
+  def countJobs[A](body: => A): (A, Int) = {
+    val sc = spark.sparkContext
+    val group = s"counted-${SparkSpec.groups.incrementAndGet()}"
+    sc.setJobGroup(group, "counted block")
+    val result = try body finally sc.clearJobGroup()
+    // the status tracker hears of jobs in order: once it has seen a later
+    // job, it has seen every job of the block
+    sc.setJobGroup(s"$group-after", "marker")
+    try sc.parallelize(Seq(1), 1).count()
+    finally sc.clearJobGroup()
+    eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup(s"$group-after").nonEmpty))
+    (result, sc.statusTracker.getJobIdsForGroup(group).length)
+  }
 }
 
 object SparkSpec {
+  private val groups = new AtomicInteger()
+
   lazy val shared: SparkSession = {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))

@@ -2,8 +2,6 @@ package repro.core
 
 import org.apache.spark.sql.CachedTables
 import org.apache.spark.sql.functions._
-import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.SpanSugar._
 
 import repro.{Oracle, SparkSpec, TestKGs}
 import repro.rdf.{Endpoint, TripleStore}
@@ -120,21 +118,11 @@ class KGTOSASpec extends SparkSpec {
   }
 
   test("every page of a d2h1 LP extraction is fetched by one Spark job") {
-    val sc = spark.sparkContext
-    kg.triples.count() // builds the shared KG outside the job groups
+    kg.triples.count() // builds the shared KG outside the counted blocks
     def jobs(bs: Long): (Int, Int) = {
-      val group = s"lp-extract-$bs"
-      sc.setJobGroup(group, "KGTOSA.sparqlExtractLP")
-      val ex = try KGTOSA.sparqlExtractLP(endpoint, Tasks.AA_DBLP, GraphPattern(2, 1), bs)
-        finally sc.clearJobGroup()
+      val (ex, n) = countJobs(KGTOSA.sparqlExtractLP(endpoint, Tasks.AA_DBLP, GraphPattern(2, 1), bs))
       ex.subgraph.uncache()
-      // the status tracker hears of jobs in order: once it has seen a later
-      // job, it has seen every job of the call
-      sc.setJobGroup(s"$group-after", "marker")
-      try sc.parallelize(Seq(1), 1).count()
-      finally sc.clearJobGroup()
-      eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup(s"$group-after").nonEmpty))
-      (ex.batches, sc.statusTracker.getJobIdsForGroup(group).length)
+      (ex.batches, n)
     }
     val (manyPages, manyJobs) = jobs(bs = 300)
     val (onePerQuery, fewJobs) = jobs(bs = 100000)

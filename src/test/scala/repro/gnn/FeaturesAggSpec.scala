@@ -6,7 +6,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.plans.logical.Join
 import org.apache.spark.sql.functions._
 
-import repro.{Oracle, SparkSpec, TestKGs}
+import repro.{ColumnOracle, Oracle, SparkSpec, TestKGs}
 import repro.kg.KG
 
 class FeaturesAggSpec extends SparkSpec {
@@ -50,6 +50,11 @@ class FeaturesAggSpec extends SparkSpec {
     val papersC0 = f.filter(col("id") >= papers.offset && col("id") < papers.offset + papers.count)
       .filter(pmod(col("id") - papers.offset, lit(kg.schema.communities.toLong)) === 0)
     assert(math.abs(papersC0.agg(avg("f0")).head().getDouble(0)) < 0.2)
+  }
+
+  test("node features equal the Column projection's, row for row (oracle)") {
+    val kg = TestKGs.yago3
+    assert(Features.nodeFeatures(kg).collect().sameElements(ColumnOracle.nodeFeatures(kg).collect()))
   }
 
   test("features are deterministic") {
@@ -130,7 +135,7 @@ class FeaturesAggSpec extends SparkSpec {
     val h1 = Aggregation.hops(Aggregation.adjacency(kg, part, Some(cap), seed), Aggregation.vectors(feats, part), l = 1)(1)
     // each triple both ways, with the draw from the Column hashBucket; DuckDB ranks by it
     val und = kg.triples.select(col("s") as "u", col("o") as "v").union(kg.triples.select(col("o") as "u", col("s") as "v"))
-      .select(col("u"), col("v"), KG.hashBucket(lit(seed), col("u"), col("v")) as "r")
+      .select(col("u"), col("v"), ColumnOracle.hashBucket(lit(seed), col("u"), col("v")) as "r")
     Oracle.assertEquivalent(table(h1),
       s"""WITH ranked AS (SELECT CAST(u AS BIGINT) AS u, CAST(v AS BIGINT) AS v,
          |                  ROW_NUMBER() OVER (PARTITION BY CAST(u AS BIGINT) ORDER BY CAST(r AS INT), CAST(v AS BIGINT)) AS rk

@@ -1,10 +1,9 @@
 package repro.gnn
 
 import org.apache.spark.sql.functions.col
-import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.SpanSugar._
 
 import repro.{SparkSpec, TestKGs}
+import repro.ColumnOracle.hashRand
 import repro.kg.KG
 import repro.synth.Tasks
 
@@ -42,7 +41,7 @@ class LinkPredSpec extends SparkSpec {
   test("training depends on the triple set, not on row order") {
     val kg = TestKGs.yago3
     val shuffled = KG(kg.schema,
-      kg.triples.orderBy(KG.hashRand(31, col("s"), col("p"), col("o"))), kg.nodeTypes)
+      kg.triples.orderBy(hashRand(31, col("s"), col("p"), col("o"))), kg.nodeTypes)
     val a = LinkPred.train(kg, Tasks.CA_YAGO3, "MorsE", epochs = 4)
     val b = LinkPred.train(shuffled, Tasks.CA_YAGO3, "MorsE", epochs = 4)
     assert(a.hits10 == b.hits10, s"hits@10 ${a.hits10} vs ${b.hits10} after reordering")
@@ -55,17 +54,7 @@ class LinkPredSpec extends SparkSpec {
 
   test("one train call reads its graph in one Spark job") {
     val kg = TestKGs.yago3
-    val sc = spark.sparkContext
-    sc.setJobGroup("lp-train", "LinkPred.train")
-    try LinkPred.train(kg, Tasks.CA_YAGO3, "MorsE", epochs = 1)
-    finally sc.clearJobGroup()
-    // the status tracker hears of jobs in order: once it has seen a later
-    // job, it has seen every job of the call
-    sc.setJobGroup("lp-train-after", "marker")
-    try sc.parallelize(Seq(1), 1).count()
-    finally sc.clearJobGroup()
-    eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup("lp-train-after").nonEmpty))
-    assert(sc.statusTracker.getJobIdsForGroup("lp-train").length == 1)
+    assert(countJobs(LinkPred.train(kg, Tasks.CA_YAGO3, "MorsE", epochs = 1))._2 == 1)
   }
 
   test("the driver-side holdout is Spark's hashRand filter") {
@@ -74,7 +63,7 @@ class LinkPredSpec extends SparkSpec {
       val data = LinkPred.split(LinkPred.read(kg), p, task.ratios._3)
       val pred = kg.triples.filter(col("p") === p)
       val cut = 1.0 - LinkPred.evalFrac(task.ratios._3, pred.count())
-      val q = KG.hashRand(9002, col("s"), col("o"))
+      val q = hashRand(9002, col("s"), col("o"))
       val test = pred.filter(q >= cut).collect().map(r => (r.getLong(0), r.getLong(2)))
       val train = kg.triples.filter(col("p") =!= p).union(pred.filter(q < cut)).collect()
         .map(r => (r.getLong(0), r.getInt(1), r.getLong(2)))

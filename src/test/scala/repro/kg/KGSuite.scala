@@ -2,10 +2,9 @@ package repro.kg
 
 import org.apache.spark.HashPartitioner
 import org.apache.spark.sql.functions._
-import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.SpanSugar._
 
 import repro.{SparkSpec, TestKGs}
+import repro.ColumnOracle.{hashBucket, hashRand}
 import repro.synth.KGBench
 
 class KGSuite extends SparkSpec {
@@ -22,17 +21,8 @@ class KGSuite extends SparkSpec {
   }
 
   test("stats reads both tables in one Spark job") {
-    val (g, sc) = (kg, spark.sparkContext) // built outside the job group
-    sc.setJobGroup("kg-stats", "KG.stats")
-    try g.stats
-    finally sc.clearJobGroup()
-    // the status tracker hears of jobs in order: once it has seen a later
-    // job, it has seen every job of the call
-    sc.setJobGroup("kg-stats-after", "marker")
-    try sc.parallelize(Seq(1), 1).count()
-    finally sc.clearJobGroup()
-    eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup("kg-stats-after").nonEmpty))
-    assert(sc.statusTracker.getJobIdsForGroup("kg-stats").length == 1)
+    val g = kg // built outside the counted block
+    assert(countJobs(g.stats)._2 == 1)
   }
 
   test("cached() holds each table in at most defaultParallelism partitions and keeps every row") {
@@ -82,28 +72,27 @@ class KGSuite extends SparkSpec {
     intercept[NoSuchElementException](kg.nodesOfType("NotAType"))
   }
 
-  test("hashRand is deterministic and in (0, 1)") {
-    val df = spark.range(1000).select(KG.hashRand(7, col("id")) as "u")
-    val vals = df.collect().map(_.getDouble(0))
+  /** The hash draw of salt ``salt`` at ids ``0 until n``. */
+  private def draws(salt: Int, n: Int): Array[Double] = Array.tabulate(n)(i => KG.uniform(KG.bucket(salt, i.toLong)))
+
+  test("the hash draw is deterministic and in (0, 1)") {
+    val vals = draws(7, 1000)
     assert(vals.forall(v => v > 0.0 && v < 1.0))
-    val again = spark.range(1000).select(KG.hashRand(7, col("id")) as "u").collect().map(_.getDouble(0))
-    assert(vals.sameElements(again))
+    assert(vals.sameElements(draws(7, 1000)))
   }
 
-  test("hashRand varies with salt") {
-    val a = spark.range(100).select(KG.hashRand(1, col("id")) as "u").collect().map(_.getDouble(0))
-    val b = spark.range(100).select(KG.hashRand(2, col("id")) as "u").collect().map(_.getDouble(0))
-    assert(!a.sameElements(b))
+  test("the hash draw varies with salt") {
+    assert(!draws(1, 100).sameElements(draws(2, 100)))
   }
 
-  test("hashRand is roughly uniform") {
-    val mean = spark.range(20000).select(avg(KG.hashRand(3, col("id")))).head().getDouble(0)
+  test("the hash draw is roughly uniform") {
+    val mean = draws(3, 20000).sum / 20000
     assert(math.abs(mean - 0.5) < 0.02)
   }
 
   test("uniform of a collected hashBucket is hashRand, bit for bit") {
     val rows = spark.range(20000)
-      .select(KG.hashBucket(lit(9002), col("id"), col("id") * 3), KG.hashRand(9002, col("id"), col("id") * 3))
+      .select(hashBucket(lit(9002), col("id"), col("id") * 3), hashRand(9002, col("id"), col("id") * 3))
       .collect()
     rows.foreach(r => assert(KG.uniform(r.getInt(0)) == r.getDouble(1), s"bucket ${r.getInt(0)}"))
   }
@@ -113,7 +102,7 @@ class KGSuite extends SparkSpec {
     val rows = spark.range(20000)
       .select(col("id") * 2654435761L - lit(1L << 40) as "a", col("id") % 97 - 48 as "b", (col("id") % 5000).cast("int") as "salt")
       .select(col("a"), col("b"), col("salt"),
-        KG.hashBucket(col("salt"), col("a"), col("b")), KG.hashBucket(col("salt"), col("a")))
+        hashBucket(col("salt"), col("a"), col("b")), hashBucket(col("salt"), col("a")))
       .collect()
     rows.foreach { r =>
       val (a, b, salt) = (r.getLong(0), r.getLong(1), r.getInt(2))

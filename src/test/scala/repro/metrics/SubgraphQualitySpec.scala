@@ -1,8 +1,6 @@
 package repro.metrics
 
 import org.apache.spark.sql.functions._
-import org.scalatest.concurrent.Eventually._
-import org.scalatest.time.SpanSugar._
 
 import repro.{Oracle, SparkSpec, TestKGs}
 import repro.kg.KG
@@ -66,19 +64,9 @@ class SubgraphQualitySpec extends SparkSpec {
   }
 
   test("measure runs the stats job, one job per BFS level and the entropy job: 6 on the star") {
-    val (g, from) = (star, hub) // built outside the job group
-    val sc = spark.sparkContext
-    sc.setJobGroup("measure", "SubgraphQuality.measure")
-    try SubgraphQuality.measure(g, from)
-    finally sc.clearJobGroup()
-    // the status tracker hears of jobs in order: once it has seen a later
-    // job, it has seen every job of the call
-    sc.setJobGroup("measure-after", "marker")
-    try sc.parallelize(Seq(1), 1).count()
-    finally sc.clearJobGroup()
-    eventually(timeout(30.seconds))(assert(sc.statusTracker.getJobIdsForGroup("measure-after").nonEmpty))
+    val (g, from) = (star, hub) // built outside the counted block
     // stats 1, BFS levels 0..3 (sizes 1, 3, 1, 0) 4, entropy 1
-    val jobs = sc.statusTracker.getJobIdsForGroup("measure").length
+    val (_, jobs) = countJobs(SubgraphQuality.measure(g, from))
     assert(jobs <= 6, s"$jobs jobs")
   }
 

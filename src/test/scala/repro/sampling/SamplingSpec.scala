@@ -7,6 +7,7 @@ import org.apache.spark.sql.{CachedTables, DataFrame}
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec, TestKGs}
+import repro.ColumnOracle.hashRand
 import repro.kg.KG
 import repro.metrics.SubgraphQuality
 import repro.synth.Tasks
@@ -91,13 +92,13 @@ class SamplingSpec extends SparkSpec {
       .select(explode(array(struct(col("s") as "u", col("o") as "v"), struct(col("o") as "u", col("s") as "v"))) as "e")
       .select(col("e.u") as "u", col("e.v") as "v")
     def literalSample(n: Int, seed: Int): DataFrame =
-      targets.orderBy(KG.hashRand(seed, col("id")), col("id")).limit(n)
+      targets.orderBy(hashRand(seed, col("id")), col("id")).limit(n)
     def literalWalk(roots: DataFrame, h: Int, seed: Int): Set[Long] = {
       var frontier = roots.select(col("id") as "walker", col("id") as "cur")
       var acc = roots.select(col("id"))
       for (step <- 1 to h) {
         frontier = frontier.join(und, frontier("cur") === und("u"))
-          .select(col("walker"), col("v"), KG.hashRand(seed * 1000 + step, col("walker"), col("v")) as "r")
+          .select(col("walker"), col("v"), hashRand(seed * 1000 + step, col("walker"), col("v")) as "r")
           .groupBy(col("walker"))
           .agg(min(struct(col("r"), col("v"))) as "m")
           .select(col("walker"), col("m.v") as "cur")

@@ -1,8 +1,9 @@
 package repro.synth
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 
-import repro.{SparkSpec, TestKGs}
+import repro.{ColumnOracle, SparkSpec, TestKGs}
 import repro.kg.KG
 
 class KGBenchSpec extends SparkSpec {
@@ -123,14 +124,37 @@ class KGBenchSpec extends SparkSpec {
     assert(present == TestKGs.mag.schema.edgeTypes.size)
   }
 
-  test("zipfExpr skews toward low ranks") {
-    val df = spark.range(20000).select(
-      KGBench.zipfExpr(KG.hashRand(5, col("id")), 1000, 1.3) as "k")
-    val top = df.filter(col("k") === 0).count().toDouble / 20000
+  test("zipf skews toward low ranks") {
+    val ks = Array.tabulate(20000)(i => KGBench.zipf(KG.uniform(KG.bucket(5, i.toLong)), 1000, 1.3))
+    val top = ks.count(_ == 0).toDouble / 20000
     assert(top > 0.1, s"rank-0 share $top")
-    val mm = df.agg(min("k"), max("k")).head()
-    assert(mm.getLong(0) >= 0 && mm.getLong(1) <= 999)
+    assert(ks.min >= 0 && ks.max <= 999)
   }
+
+  test("zipf equals Spark's pow-based Column draw, bit for bit (oracle)") {
+    val rows = spark.range(20000).select(col("id"),
+      ColumnOracle.zipfExpr(ColumnOracle.hashRand(5, col("id")), 1000, 1.3)).collect()
+    rows.foreach(r => assert(KGBench.zipf(KG.uniform(KG.bucket(5, r.getLong(0))), 1000, 1.3) == r.getLong(1)))
+  }
+
+  /** ``ours`` holds the rows of ``theirs`` in the same partitions, in the same order. */
+  private def assertSameLayout(what: String, ours: DataFrame, theirs: DataFrame): Unit = {
+    val (a, b) = (ours.rdd.glom().collect(), theirs.rdd.glom().collect())
+    assert(a.length == b.length, s"$what: ${a.length} vs ${b.length} partitions")
+    for (i <- a.indices if !a(i).sameElements(b(i)))
+      fail(s"$what: partition $i holds ${a(i).length} rows vs ${b(i).length}, or differs in a row or its order")
+  }
+
+  for (spec <- KGBench.all; seed <- Seq(1, spec.seed))
+    test(s"${spec.name} seed $seed: the cached KG equals the Column generator's, partition for partition (oracle)") {
+      val s = spec.copy(seed = seed)
+      val (ours, theirs) = (KGBench.generate(spark, s, TestKGs.UnitScale).cached(),
+        ColumnOracle.generate(spark, s, TestKGs.UnitScale).cached())
+      try {
+        assertSameLayout("triples", ours.triples, theirs.triples)
+        assertSameLayout("node types", ours.nodeTypes, theirs.nodeTypes)
+      } finally { ours.uncache(); theirs.uncache() }
+    }
 
   test("spec lookup resolves names and rejects unknowns") {
     assert(KGBench.spec("MAG-42M").name == "MAG-42M")

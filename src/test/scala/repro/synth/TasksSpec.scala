@@ -2,7 +2,7 @@ package repro.synth
 
 import org.apache.spark.sql.functions._
 
-import repro.{SparkSpec, TestKGs}
+import repro.{ColumnOracle, SparkSpec, TestKGs}
 
 class TasksSpec extends SparkSpec {
 
@@ -64,6 +64,16 @@ class TasksSpec extends SparkSpec {
     val a = Tasks.labeledSplit(TestKGs.mag, Tasks.PV_MAG)
     val b = Tasks.labeledSplit(TestKGs.mag, Tasks.PV_MAG)
     assert(a.exceptAll(b).count() == 0)
+  }
+
+  test("labeledSplit and lpSplit equal their Column projections, row for row (oracle)") {
+    val kg = TestKGs.yago3
+    for ((split, ratios) <- Seq(TimeSplit -> (0.5, 0.2, 0.3), RandomSplit -> (0.8, 0.1, 0.1))) {
+      val nc = NCTask("CC", "YAGO3-10", "Person", 5, split, ratios)
+      assert(Tasks.labeledSplit(kg, nc).collect().sameElements(ColumnOracle.labeledSplit(kg, nc).collect()), s"$split")
+      for (lp <- Seq(Tasks.CA_YAGO3, Tasks.CA_YAGO3.copy(predicate = "livesIn", split = split, ratios = ratios)))
+        assert(Tasks.lpSplit(kg, lp).collect().sameElements(ColumnOracle.lpSplit(kg, lp).collect()), s"${lp.predicate} $split")
+    }
   }
 
   test("lpSplit covers exactly the target predicate's triples") {
